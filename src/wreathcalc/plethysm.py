@@ -20,21 +20,27 @@ would need infinitely many terms of f per output degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .groups import FiniteGroup, class_power
 from .series import (
-    GradedSeries, Mono, SeriesError, exp_series, l_series, mod_filter,
-    mono_degree, one, p, pow1p_of, zero,
+    GradedSeries, Mono, ONE_MONO, SeriesError, _mul_by_degree, exp_arg,
+    exp_of, exp_series, mod_filter, mono_degree, one, p, pow1p_of,
+    zero,
 )
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    """Plethysm f o g; see the module docstring for the variable rules."""
+    """Plethysm f o g; see the module docstring for the variable rules.
+
+    f o g is a ring map in f, so each monomial of f goes to the product of
+    its variables' images.  f's monomials are visited in sorted order of
+    their variable sequences (p_1^2 p_2 reads p_1, p_1, p_2); a stack holds
+    the images of the current sequence's prefixes, so monomials sharing a
+    prefix share its product, and the stack never holds more than N + 1
+    images.  Coefficients and t-shifts are applied while adding each image
+    into one result dict.
+    """
     left_mode = f.group.order == 1
     right_mode = g.group.order == 1
     if not (left_mode or right_mode):
@@ -43,41 +49,67 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
         raise SeriesError("plethysm argument must have no degree-0 part")
     out_group = g.group if left_mode else f.group
     N = min(f.trunc, g.trunc)
-    t_den = _lcm(f.t_den, g.t_den)
+    t_den = lcm(f.t_den, g.t_den)
+    f_scale = t_den // f.t_den
+    g_scale = t_den // g.t_den
+    g_terms = [(mono, mono_degree(mono), t_num * g_scale, coeff)
+               for (mono, t_num), coeff in g.terms.items()]
 
-    def image(i: int, c: int) -> GradedSeries:
-        """The series p_i(c) o g, truncated to N."""
-        terms = {}
-        for (mono, t_num), coeff in g.terms.items():
-            if i * mono_degree(mono) > N:
+    def image(i: int, c: int) -> dict[int, dict]:
+        """p_i(c) o g truncated to N, split by degree, t in units of 1/t_den.
+
+        (j, cid) -> (i j, cid) and (j, 0) -> (i j, c^j) keep monomials sorted.
+        """
+        out: dict[int, dict] = {}
+        for mono, deg, t_num, coeff in g_terms:
+            if i * deg > N:
                 continue
             if left_mode:
-                new_mono = tuple(sorted(((i * j, cid), e) for (j, cid), e in mono))
+                new_mono = tuple(((i * j, cid), e) for (j, cid), e in mono)
             else:
-                new_mono = tuple(sorted(
-                    ((i * j, class_power(f.group, c, j)), e) for (j, _z), e in mono))
-            key = (new_mono, i * t_num)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return GradedSeries(out_group, N, g.t_den, terms)
+                new_mono = tuple(((i * j, class_power(f.group, c, j)), e)
+                                 for (j, _z), e in mono)
+            out.setdefault(i * deg, {})[(new_mono, i * t_num)] = coeff
+        return out
 
-    cache: dict[tuple[int, int], GradedSeries] = {}
-    acc = zero(out_group, N, t_den)
-    t_scale = t_den // f.t_den
+    words = []
     for (mono, t_num), coeff in f.terms.items():
-        piece = one(out_group, N, t_den).scale(coeff).scale_t(t_num * t_scale, t_den)
-        for (i, c), e in mono:
-            key = (i, c)
-            if key not in cache:
-                cache[key] = image(i, c)
-            img = cache[key]
-            for _ in range(e):
-                piece = piece.mul(img)
-                if piece.is_zero():
-                    break
-            if piece.is_zero():
-                break
-        acc = acc.add(piece)
-    return acc
+        if mono_degree(mono) <= N:
+            word = tuple(v for v, e in mono for _ in range(e))
+            words.append((word, t_num * f_scale, coeff))
+    words.sort(key=lambda w: w[0])
+
+    images: dict[tuple[int, int], dict[int, dict]] = {}
+    stack = [{0: {(ONE_MONO, 0): Fraction(1)}}]   # stack[j]: image of word[:j]
+    prev: tuple = ()
+    acc: dict[tuple[Mono, int], Fraction] = {}
+    for word, t_shift, coeff in words:
+        j = 0
+        while j < len(prev) and j < len(word) and prev[j] == word[j]:
+            j += 1
+        del stack[j + 1:]
+        for v in word[j:]:
+            img = images.get(v)
+            if img is None:
+                img = images[v] = image(*v)
+            stack.append(_mul_by_degree(stack[-1], img, N))
+        prev = word
+        for part in stack[-1].values():
+            for (m, t), c in part.items():
+                k = (m, t + t_shift)
+                prev_c = acc.get(k)
+                acc[k] = coeff * c if prev_c is None else prev_c + coeff * c
+    return GradedSeries._trusted(out_group, N, t_den,
+                                 {k: c for k, c in acc.items() if c})
+
+
+def exp_compose(G: FiniteGroup, N: int, g: GradedSeries) -> GradedSeries:
+    """exp_series(G, N) o g, computed as exp(exp_arg(G, N) o g).
+
+    Plethysm by g is a ring map that respects truncation, so it commutes
+    with exp; the argument exp_arg has one term per variable.
+    """
+    return exp_of(compose(exp_arg(G, N), g))
 
 
 def plethystic_inverse(f: GradedSeries) -> GradedSeries:

@@ -11,7 +11,9 @@ is t_num / t_den with one declared denominator t_den per series (so t^{1/2}
 is representable exactly without symbolic roots).  The zero series has an
 empty term dict; no zero coefficients are ever stored; no stored monomial
 exceeds degree N.  All coefficients are exact Fractions -- there is no
-floating point anywhere in this package.
+floating point anywhere in this package.  The public constructor enforces
+these invariants; the ring operations build term dicts that already satisfy
+them and wrap them with GradedSeries._trusted, which does not check again.
 
 Operations never extend the truncation degree: combining two series
 truncates to the smaller N, and t denominators are refined to the lcm.
@@ -24,7 +26,7 @@ produces; the standard Maclaurin series live in uni_analytic().
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Optional
 
 from .groups import FiniteGroup
@@ -62,8 +64,51 @@ def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a is b or a.table == b.table
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+# -- term dicts split by monomial degree ----------------------------------------
+#
+# The fast paths work on "slices": plain term dicts holding one monomial
+# degree each, kept in a {degree: slice} map.  Products of slices need no
+# truncation test per term, and homogeneous recurrences read slices directly.
+
+def _by_degree(terms: dict) -> dict[int, dict]:
+    out: dict[int, dict] = {}
+    for key, c in terms.items():
+        d = mono_degree(key[0])
+        part = out.get(d)
+        if part is None:
+            out[d] = {key: c}
+        else:
+            part[key] = c
+    return out
+
+
+def _mul_into(acc: dict, a: dict, b: dict, w: Fraction = Fraction(1)) -> None:
+    """acc += w * a * b for term dicts a and b; may leave zeros in acc."""
+    for (ma, ta), ca in a.items():
+        ca = ca * w
+        for (mb, tb), cb in b.items():
+            k = (mono_mul(ma, mb), ta + tb)
+            prev = acc.get(k)
+            acc[k] = ca * cb if prev is None else prev + ca * cb
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
+def _mul_by_degree(a: dict[int, dict], b: dict[int, dict],
+                   n: int) -> dict[int, dict]:
+    """Product of two degree-split series, truncated at degree n, zeros dropped."""
+    out: dict[int, dict] = {}
+    for da, part_a in a.items():
+        for db, part_b in b.items():
+            if da + db > n:
+                continue
+            acc = out.get(da + db)
+            if acc is None:
+                acc = out[da + db] = {}
+            _mul_into(acc, part_a, part_b)
+    return {d: kept for d, acc in out.items() if (kept := _nonzero(acc))}
 
 
 class GradedSeries:
@@ -88,6 +133,21 @@ class GradedSeries:
                 clean[(mono, t_num)] = Fraction(coeff)
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, trunc: int, t_den: int,
+                 terms: dict) -> "GradedSeries":
+        """Take ownership of a clean term dict without checking it.
+
+        Clean means: every value is a Fraction, none is zero, and no monomial
+        has degree above trunc.  Callers build such dicts themselves.
+        """
+        self = object.__new__(cls)
+        self.group = group
+        self.trunc = trunc
+        self.t_den = t_den
+        self.terms = terms
+        return self
+
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -105,14 +165,15 @@ class GradedSeries:
 
     def homogeneous_part(self, n: int) -> "GradedSeries":
         keep = {k: c for k, c in self.terms.items() if mono_degree(k[0]) == n}
-        return GradedSeries(self.group, self.trunc, self.t_den, keep)
+        return GradedSeries._trusted(self.group, self.trunc, self.t_den, keep)
 
     def degrees(self) -> set[int]:
         return {mono_degree(m) for (m, _t) in self.terms}
 
     def truncate(self, n: int) -> "GradedSeries":
         keep = {k: c for k, c in self.terms.items() if mono_degree(k[0]) <= n}
-        return GradedSeries(self.group, min(self.trunc, n), self.t_den, keep)
+        return GradedSeries._trusted(self.group, min(self.trunc, n), self.t_den,
+                                     keep)
 
     def with_t_den(self, t_den: int) -> "GradedSeries":
         """Re-express with a finer t denominator (must be a multiple of the current one)."""
@@ -121,8 +182,9 @@ class GradedSeries:
         if t_den % self.t_den != 0:
             raise SeriesError("cannot coarsen t denominator %d to %d" % (self.t_den, t_den))
         f = t_den // self.t_den
-        return GradedSeries(self.group, self.trunc, t_den,
-                            {(m, t * f): c for (m, t), c in self.terms.items()})
+        return GradedSeries._trusted(self.group, self.trunc, t_den,
+                                     {(m, t * f): c
+                                      for (m, t), c in self.terms.items()})
 
     # -- ring operations -----------------------------------------------------
 
@@ -131,48 +193,46 @@ class GradedSeries:
             raise SeriesError("expected a GradedSeries operand")
         if not _same_group(self.group, other.group):
             raise SeriesError("series live over different groups")
-        den = _lcm(self.t_den, other.t_den)
+        den = lcm(self.t_den, other.t_den)
         return self.with_t_den(den), other.with_t_den(den), min(self.trunc, other.trunc)
 
     def add(self, other: "GradedSeries") -> "GradedSeries":
         a, b, n = self._align(other)
         acc = dict(a.terms)
         for k, c in b.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return GradedSeries(self.group, n, a.t_den, acc)
+            prev = acc.get(k)
+            if prev is None:
+                acc[k] = c
+                continue
+            total = prev + c
+            if total:
+                acc[k] = total
+            else:
+                del acc[k]
+        if max(a.trunc, b.trunc) > n:
+            acc = {k: c for k, c in acc.items() if mono_degree(k[0]) <= n}
+        return GradedSeries._trusted(self.group, n, a.t_den, acc)
 
     def neg(self) -> "GradedSeries":
-        return GradedSeries(self.group, self.trunc, self.t_den,
-                            {k: -c for k, c in self.terms.items()})
+        return GradedSeries._trusted(self.group, self.trunc, self.t_den,
+                                     {k: -c for k, c in self.terms.items()})
 
     def sub(self, other: "GradedSeries") -> "GradedSeries":
         return self.add(other.neg())
 
     def scale(self, q) -> "GradedSeries":
         q = Fraction(q)
-        return GradedSeries(self.group, self.trunc, self.t_den,
-                            {k: c * q for k, c in self.terms.items()})
+        terms = {k: c * q for k, c in self.terms.items()} if q else {}
+        return GradedSeries._trusted(self.group, self.trunc, self.t_den, terms)
 
     def mul(self, other: "GradedSeries") -> "GradedSeries":
         a, b, n = self._align(other)
-        # bucket by monomial degree so truncation prunes whole blocks
-        buckets_a: dict[int, list] = {}
-        for (m, t), c in a.terms.items():
-            buckets_a.setdefault(mono_degree(m), []).append((m, t, c))
-        buckets_b: dict[int, list] = {}
-        for (m, t), c in b.terms.items():
-            buckets_b.setdefault(mono_degree(m), []).append((m, t, c))
+        # split by monomial degree so truncation prunes whole blocks
         acc: dict[tuple[Mono, int], Fraction] = {}
-        for da, items_a in buckets_a.items():
-            for db, items_b in buckets_b.items():
-                if da + db > n:
-                    continue
-                for ma, ta, ca in items_a:
-                    for mb, tb, cb in items_b:
-                        k = (mono_mul(ma, mb), ta + tb)
-                        prev = acc.get(k)
-                        acc[k] = ca * cb if prev is None else prev + ca * cb
-        return GradedSeries(self.group, n, a.t_den, acc)
+        for part in _mul_by_degree(_by_degree(a.terms), _by_degree(b.terms),
+                                   n).values():
+            acc.update(part)
+        return GradedSeries._trusted(self.group, n, a.t_den, acc)
 
     def power(self, k: int) -> "GradedSeries":
         if k < 0:
@@ -193,26 +253,14 @@ class GradedSeries:
         if c0 is None or len(deg0.terms) != 1:
             raise NotInvertibleError(
                 "degree-0 part must be a single nonzero t-free scalar to invert")
-        n = self.trunc
-        slices = [self.homogeneous_part(k) for k in range(n + 1)]
-        inv_parts = [const(self.group, n, 1 / c0, self.t_den)]
-        for m in range(1, n + 1):
-            s = zero(self.group, n, self.t_den)
-            for k in range(1, m + 1):
-                if slices[k].is_zero():
-                    continue
-                s = s.add(slices[k].mul(inv_parts[m - k]))
-            inv_parts.append(s.scale(-1 / c0))
-        acc = zero(self.group, n, self.t_den)
-        for part in inv_parts:
-            acc = acc.add(part)
-        return acc
+        # self = c0 (1 + F); (1 + F)^-1 has n P_n = -n sum_k F_k P_{n-k}
+        return _euler(self.scale(1 / c0), lambda n, k: -n).scale(1 / c0)
 
     # -- t handling ----------------------------------------------------------
 
     def attach_t(self, num: int, den: int = 1) -> "GradedSeries":
         """Right-compose with t^(num/den) * p_1: each degree-n term gains t^(n*num/den)."""
-        t_den = _lcm(self.t_den, den)
+        t_den = lcm(self.t_den, den)
         f_self = t_den // self.t_den
         f_new = t_den // den
         out: dict[tuple[Mono, int], Fraction] = {}
@@ -223,7 +271,7 @@ class GradedSeries:
 
     def scale_t(self, num: int, den: int = 1) -> "GradedSeries":
         """Multiply the whole series by the monomial t^(num/den)."""
-        t_den = _lcm(self.t_den, den)
+        t_den = lcm(self.t_den, den)
         f_self = t_den // self.t_den
         f_new = t_den // den
         return GradedSeries(self.group, self.trunc, t_den,
@@ -283,7 +331,7 @@ class GradedSeries:
             return NotImplemented
         if not _same_group(self.group, other.group) or self.trunc != other.trunc:
             return False
-        den = _lcm(self.t_den, other.t_den)
+        den = lcm(self.t_den, other.t_den)
         return self.with_t_den(den).terms == other.with_t_den(den).terms
 
     __hash__ = None  # mutable dict inside; series compare by value
@@ -329,56 +377,68 @@ def _require_constant_free(f: GradedSeries, what: str) -> None:
         raise SeriesError("%s needs a series with no degree-0 part" % what)
 
 
+def _euler(f: GradedSeries, weight: Callable[[int, int], Fraction]) -> GradedSeries:
+    """The series R with R_0 = 1 and n R_n = sum_{k=1..n} weight(n, k) F_k R_{n-k}.
+
+    F_k is the degree-k slice of f; f's degree-0 part is ignored.  Applying
+    the degree derivation D (a monomial of degree n goes to n times itself)
+    to R = exp(F), (1 + F)^a and log(1 + F) gives DR = DF R,
+    (1 + F) DR = a DF R and (1 + F) DR = DF; read off in degree n these are
+    such recurrences, so each R_n costs one pass of slice products and no
+    full series product is formed (Brent and Kung, JACM 1978).
+    """
+    F = _by_degree(f.terms)
+    R: list[dict] = [{(ONE_MONO, 0): Fraction(1)}]
+    for n in range(1, f.trunc + 1):
+        acc: dict = {}
+        for k in range(1, n + 1):
+            if k in F and R[n - k]:
+                w = Fraction(weight(n, k), n)
+                if w:
+                    _mul_into(acc, F[k], R[n - k], w)
+        R.append(_nonzero(acc))
+    terms: dict = {}
+    for part in R:
+        terms.update(part)
+    return GradedSeries._trusted(f.group, f.trunc, f.t_den, terms)
+
+
 def exp_of(f: GradedSeries) -> GradedSeries:
-    """exp(f) truncated, for constant-free f."""
+    """exp(f) truncated, for constant-free f: n E_n = sum_k k F_k E_{n-k}."""
     _require_constant_free(f, "exp")
-    acc = one(f.group, f.trunc, f.t_den)
-    term = acc
-    for k in range(1, f.trunc + 1):
-        term = term.mul(f).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        acc = acc.add(term)
-    return acc
+    return _euler(f, lambda n, k: k)
 
 
 def log1p_of(f: GradedSeries) -> GradedSeries:
-    """log(1 + f) truncated, for constant-free f."""
+    """log(1 + f) truncated, for constant-free f.
+
+    With S = 1 + log(1 + f): n S_n = n F_n - sum_{k<n} (n - k) F_k S_{n-k}.
+    """
     _require_constant_free(f, "log1p")
-    acc = zero(f.group, f.trunc, f.t_den)
-    power_ = one(f.group, f.trunc, f.t_den)
-    for k in range(1, f.trunc + 1):
-        power_ = power_.mul(f)
-        if power_.is_zero():
-            break
-        acc = acc.add(power_.scale(Fraction((-1) ** (k - 1), k)))
-    return acc
+    s = _euler(f, lambda n, k: n if k == n else k - n)
+    del s.terms[(ONE_MONO, 0)]
+    return s
 
 
 def pow1p_of(f: GradedSeries, alpha) -> GradedSeries:
-    """(1 + f)^alpha by the generalized binomial series, for constant-free f."""
+    """(1 + f)^alpha for constant-free f: n P_n = sum_k (alpha k - (n - k)) F_k P_{n-k}."""
     _require_constant_free(f, "pow1p")
     alpha = Fraction(alpha)
-    acc = one(f.group, f.trunc, f.t_den)
-    term = acc
-    for k in range(1, f.trunc + 1):
-        term = term.mul(f).scale((alpha - (k - 1)) / k)
-        if term.is_zero():
-            break
-        acc = acc.add(term)
-    return acc
+    return _euler(f, lambda n, k: alpha * k - (n - k))
 
 
 # -- the named global series ---------------------------------------------------
 
+def exp_arg(G: FiniteGroup, N: int) -> GradedSeries:
+    """sum over i, c of |c| p_i(c) / (|G| i), the exponent of exp_series(G, N)."""
+    terms = {((((i, cl.class_id), 1),), 0): Fraction(cl.size, G.order * i)
+             for i in range(1, N + 1) for cl in G.classes}
+    return GradedSeries._trusted(G, N, 1, terms)
+
+
 def exp_series(G: FiniteGroup, N: int) -> GradedSeries:
-    """exp(sum over i, c of |c| p_i(c) / (|G| i)): the trivial-character generating series."""
-    arg = zero(G, N)
-    for i in range(1, N + 1):
-        for cl in G.classes:
-            arg = arg.add(p(G, N, i, cl.class_id).scale(
-                Fraction(cl.size, G.order * i)))
-    return exp_of(arg)
+    """exp(exp_arg(G, N)): the trivial-character generating series."""
+    return exp_of(exp_arg(G, N))
 
 
 def moebius_mu(d: int) -> int:
@@ -478,7 +538,7 @@ class UniSeries:
                          {(n, t * f): c for (n, t), c in self.coeffs.items()})
 
     def _align(self, other: "UniSeries"):
-        den = _lcm(self.t_den, other.t_den)
+        den = lcm(self.t_den, other.t_den)
         return self.with_t_den(den), other.with_t_den(den), min(self.trunc, other.trunc)
 
     def add(self, other: "UniSeries") -> "UniSeries":
@@ -552,7 +612,7 @@ class UniSeries:
         return UniSeries(n, self.t_den, acc)
 
     def scale_t(self, num: int, den: int = 1) -> "UniSeries":
-        t_den = _lcm(self.t_den, den)
+        t_den = lcm(self.t_den, den)
         f_self = t_den // self.t_den
         f_new = t_den // den
         return UniSeries(self.trunc, t_den,
@@ -596,7 +656,7 @@ class UniSeries:
             return NotImplemented
         if self.trunc != other.trunc:
             return False
-        den = _lcm(self.t_den, other.t_den)
+        den = lcm(self.t_den, other.t_den)
         return self.with_t_den(den).coeffs == other.with_t_den(den).coeffs
 
     __hash__ = None

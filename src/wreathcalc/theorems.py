@@ -12,13 +12,14 @@ checked against classical one-variable series at rational t values.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .dowling import build_family, count_family
 from .groups import FiniteGroup, cyclic_group
-from .plethysm import (arcsinh_series, average_p1, compose,
+from .plethysm import (arcsinh_series, average_p1, compose, exp_compose,
                        plethystic_inverse, product_form_inverse, sech_series)
 from .posets import (Poset, equivariant_char_poly, fixed_subposet,
                      lefschetz_top_trace, mobius_via_chains,
@@ -179,17 +180,16 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
     triv = _trivial()
     if theorem == "stanley":
         return l_series(G, N)
-    E = exp_series(G, N)
-    L = l_series(triv, N)
-    if theorem in ("hanlon", "product_form_F"):
-        base = compose(E, L).invert()
-        if theorem == "hanlon":
-            return base
+    if theorem == "product_form_F":
         return product_form_inverse(G, N)
+    L = l_series(triv, N)
+    if theorem == "hanlon":
+        return exp_compose(G, N, L).invert()
     if theorem == "second":
-        return one(G, N) - compose(E, L)
+        return one(G, N) - exp_compose(G, N, L)
     if theorem == "third":
-        return (one(G, N) + average_p1(G, N)) * compose(E, L).invert()
+        return (one(G, N) + average_p1(G, N)) * exp_compose(G, N, L).invert()
+    E = exp_series(G, N)
     if theorem == "one_mod_d":
         trunk = exp_series(triv, N)
         inverse_arg = plethystic_inverse(mod_filter(trunk, 1, d))
@@ -199,13 +199,13 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         return compose(outer, inverse_arg)
     if theorem == "zero_mod_d":
         trunk = mod_filter(exp_series(triv, N), 0, d) - one(triv, N)
-        inner = compose(E, compose(L, trunk))
+        inner = exp_compose(G, N, compose(L, trunk))
         return one(G, N) - E * inner.invert()
     if theorem == "whitney_hanlon":
         return _whitney_q_closed(G, N)
     if theorem == "whitney_R":
         Lt = L.attach_t(1)
-        return (compose(E, Lt.scale_t(-1)) - compose(E, Lt))
+        return exp_compose(G, N, Lt.scale_t(-1)) - exp_compose(G, N, Lt)
     if theorem == "whitney_Qsim":
         lin = average_p1(G, N).scale_t(1)
         return (one(G, N) + lin) * _whitney_q_closed(G, N)
@@ -218,7 +218,8 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         for j in range(1, d):
             piece = compose(mod_filter(E, j, d) * e_zero.invert(), B)
             head = head - piece.scale_t(d - j, d)
-        tail = compose(e_zero, B).invert() * compose(E, B.scale_t(-1, d))
+        tail = (compose(e_zero, B).invert()
+                * exp_compose(G, N, B.scale_t(-1, d)))
         return head + tail
     if theorem == "whitney_0modd":
         trunk = mod_filter(exp_series(triv, N), 0, d) - one(triv, N)
@@ -227,7 +228,7 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         comb = zero(G, N)
         for j in range(d):
             comb = comb + mod_filter(E, j, d).attach_t(1, d).scale_t(d - j, d)
-        return E + t_monomial(G, N, 1) - comb * compose(E, inner)
+        return E + t_monomial(G, N, 1) - comb * exp_compose(G, N, inner)
     if theorem == "bn_whitney":
         return _bn_closed(G, N)
     if theorem == "dn_series":
@@ -242,28 +243,33 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
 
 def _whitney_q_closed(G: FiniteGroup, N: int) -> GradedSeries:
     Lt = l_series(_trivial(), N).attach_t(1)
-    return compose(exp_series(G, N), Lt.scale_t(-1) - Lt)
+    return exp_compose(G, N, Lt.scale_t(-1) - Lt)
 
 
 def _bn_closed(G: FiniteGroup, N: int) -> GradedSeries:
     B = arcsinh_series(_trivial(), N).attach_t(1, 2)
     return (compose(sech_series(G, N), B)
-            * compose(exp_series(G, N), B.scale_t(-1, 2)))
+            * exp_compose(G, N, B.scale_t(-1, 2)))
 
 
 # ---------------------------------------------------------------------------
 # brute-force sides
 
-_poset_cache: dict = {}
+# Posets by (family, Cayley table, n, d), least recently used evicted first.
+# Every value pins its poset, so the cache is bounded; the cap covers the
+# two families times n_max degrees that a corollary check revisits.
+_POSET_CACHE_SIZE = 16
+_poset_cache: OrderedDict = OrderedDict()
 
 
 def _acted_poset(family: str, G: FiniteGroup, n: int,
                  d: Optional[int]) -> tuple[Poset, Callable]:
     """Poset for the family plus a map from wreath elements to index perms."""
-    key = (family, id(G), n, d)
+    key = (family, G.table, n, d)
     hit = _poset_cache.get(key)
     if hit is not None:
-        return hit[0], hit[1]
+        _poset_cache.move_to_end(key)
+        return hit
     if family == "bn":
         fp = build_family("q1modd", G, n, 2)
         P = fp.poset
@@ -271,19 +277,21 @@ def _acted_poset(family: str, G: FiniteGroup, n: int,
             top = P.top()
             keep = [i for i in range(P.n) if i != top]
             pos = {orig: k for k, orig in enumerate(keep)}
-            sub = P.subposet(keep)
 
             def act(w, _fp=fp, _keep=keep, _pos=pos):
                 full = _fp.action_of(w)
                 return [_pos[full[orig]] for orig in _keep]
 
-            _poset_cache[key] = (sub, act, fp)
-            return sub, act
-        _poset_cache[key] = (P, fp.action_of, fp)
-        return P, fp.action_of
-    fp = build_family(family, G, n, d)
-    _poset_cache[key] = (fp.poset, fp.action_of, fp)
-    return fp.poset, fp.action_of
+            hit = (P.subposet(keep), act)
+        else:
+            hit = (P, fp.action_of)
+    else:
+        fp = build_family(family, G, n, d)
+        hit = (fp.poset, fp.action_of)
+    _poset_cache[key] = hit
+    if len(_poset_cache) > _POSET_CACHE_SIZE:
+        _poset_cache.popitem(last=False)
+    return hit
 
 
 def _statement_sign(theorem: str, n: int, d: Optional[int]) -> int:
@@ -332,7 +340,7 @@ def brute_force_side(theorem: str, G: FiniteGroup, n: int,
             return exp_series(G, 2).homogeneous_part(2)
         return None
     if theorem == "product_form_F":
-        return compose(exp_series(G, n), l_series(_trivial(), n)).invert() \
+        return exp_compose(G, n, l_series(_trivial(), n)).invert() \
             .homogeneous_part(n)
     if theorem == "fibre_corollary":
         full_q = _statement_sum("hanlon", G, n, None, force)
@@ -567,7 +575,7 @@ def verify(theorem: str, G: FiniteGroup, n_max: int,
             raise BudgetError(
                 "truncation degree %d exceeds the budget %d; pass force to "
                 "override" % (N, DEGREE_BUDGET))
-    start = time.time()
+    start = time.perf_counter()
     label = group_label or ("order-%d group" % G.order)
     report = VerificationReport(theorem, label, G.order, n_max, d, N)
     closed = closed_form(theorem, G, N, d)
@@ -607,7 +615,7 @@ def verify(theorem: str, G: FiniteGroup, n_max: int,
         else:
             report.natural_status = "mismatch"
             report.natural_note = "differs at t-value %s" % bad
-    report.elapsed_seconds = time.time() - start
+    report.elapsed_seconds = time.perf_counter() - start
     return report
 
 

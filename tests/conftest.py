@@ -1,12 +1,19 @@
 """Shared independent oracle builders for the test suite.
 
 These constructions deliberately avoid the package's own Dowling-family
-code paths so they can serve as cross-checks.
+code paths so they can serve as cross-checks.  The series oracles are the
+straightforward algorithms the series core used before its fast paths:
+plethysm term by term through the public ring operations, and exp, log,
+powers and inverses by repeated full products.
 """
 
 import itertools
+from fractions import Fraction
 
+from wreathcalc.groups import class_power
 from wreathcalc.posets import Poset
+from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, const,
+                               mono_degree, one, zero)
 
 
 def chain_poset(n):
@@ -50,3 +57,103 @@ def bell_number(n):
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[0]
+
+
+# -- series oracles -----------------------------------------------------------
+
+
+def oracle_compose(f, g):
+    """Plethysm f o g, one term of f at a time, through public ring operations."""
+    left_mode = f.group.order == 1
+    if not (left_mode or g.group.order == 1):
+        raise SeriesError("plethysm needs the trivial group on one side")
+    if not g.homogeneous_part(0).is_zero():
+        raise SeriesError("plethysm argument must have no degree-0 part")
+    out_group = g.group if left_mode else f.group
+    N = min(f.trunc, g.trunc)
+    t_den = f.t_den * g.t_den
+
+    def image(i, c):
+        terms = {}
+        for (mono, t_num), coeff in g.terms.items():
+            if i * mono_degree(mono) > N:
+                continue
+            if left_mode:
+                new_mono = tuple(sorted(((i * j, cid), e)
+                                        for (j, cid), e in mono))
+            else:
+                new_mono = tuple(sorted(
+                    ((i * j, class_power(f.group, c, j)), e)
+                    for (j, _z), e in mono))
+            key = (new_mono, i * t_num)
+            terms[key] = terms.get(key, Fraction(0)) + coeff
+        return GradedSeries(out_group, N, g.t_den, terms)
+
+    acc = zero(out_group, N, t_den)
+    for (mono, t_num), coeff in f.terms.items():
+        piece = one(out_group, N, f.t_den).scale(coeff).scale_t(t_num,
+                                                                f.t_den)
+        for (i, c), e in mono:
+            for _ in range(e):
+                piece = piece.mul(image(i, c))
+        acc = acc.add(piece)
+    return acc
+
+
+def oracle_exp(f):
+    """exp(f) as the sum of f^k / k!, for constant-free f."""
+    acc = term = one(f.group, f.trunc, f.t_den)
+    for k in range(1, f.trunc + 1):
+        term = term.mul(f).scale(Fraction(1, k))
+        acc = acc.add(term)
+    return acc
+
+
+def oracle_log1p(f):
+    """log(1 + f) as the sum of (-1)^(k-1) f^k / k, for constant-free f."""
+    acc = zero(f.group, f.trunc, f.t_den)
+    power = one(f.group, f.trunc, f.t_den)
+    for k in range(1, f.trunc + 1):
+        power = power.mul(f)
+        acc = acc.add(power.scale(Fraction((-1) ** (k - 1), k)))
+    return acc
+
+
+def oracle_pow1p(f, alpha):
+    """(1 + f)^alpha by the generalized binomial series, for constant-free f."""
+    alpha = Fraction(alpha)
+    acc = term = one(f.group, f.trunc, f.t_den)
+    for k in range(1, f.trunc + 1):
+        term = term.mul(f).scale((alpha - (k - 1)) / k)
+        acc = acc.add(term)
+    return acc
+
+
+def oracle_invert(f):
+    """1/f degree by degree: g_m = -(1/c0) sum_{k>=1} f_k g_{m-k}."""
+    c0 = f.coefficient(ONE_MONO)
+    n = f.trunc
+    slices = [f.homogeneous_part(k) for k in range(n + 1)]
+    parts = [const(f.group, n, 1 / c0, f.t_den)]
+    for m in range(1, n + 1):
+        s = zero(f.group, n, f.t_den)
+        for k in range(1, m + 1):
+            s = s.add(slices[k].mul(parts[m - k]))
+        parts.append(s.scale(-1 / c0))
+    acc = zero(f.group, n, f.t_den)
+    for part in parts:
+        acc = acc.add(part)
+    return acc
+
+
+def assert_clean(s):
+    """The term-dict invariants every series must keep (and _trusted assumes)."""
+    assert isinstance(s, GradedSeries)
+    for (mono, t_num), c in s.terms.items():
+        assert type(c) is Fraction, (mono, t_num, c)
+        assert c != 0, (mono, t_num)
+        assert mono_degree(mono) <= s.trunc, (mono, s.trunc)
+        assert list(mono) == sorted(mono), mono
+        assert len({v for v, _e in mono}) == len(mono), mono
+        assert all(e >= 1 for _v, e in mono), mono
+        assert type(t_num) is int, t_num

@@ -1,0 +1,176 @@
+"""The fast series core against its straightforward oracles, and its laws.
+
+compose, exp_of, log1p_of, pow1p_of and invert are compared with the
+oracles in conftest.py on seeded random series over C1, C2 and S3, with
+t-graded arguments and t denominators above one.  Hypothesis checks the
+algebraic laws the fast paths rely on.  Every result is also checked for
+the term-dict invariants that GradedSeries._trusted takes on trust.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import (assert_clean, oracle_compose, oracle_exp,
+                      oracle_invert, oracle_log1p, oracle_pow1p)
+from wreathcalc.groups import cyclic_group, symmetric_group
+from wreathcalc.plethysm import compose, exp_compose
+from wreathcalc.series import (GradedSeries, exp_arg, exp_of, exp_series,
+                               l_series, log1p_of, one, pow1p_of)
+
+C1 = cyclic_group(1)
+C2 = cyclic_group(2)
+S3 = symmetric_group(3)
+GROUPS = (C1, C2, S3)
+ALPHAS = (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(-2, 3))
+
+
+def random_series(G, N, rng, t_den=1, nterms=5, max_t=2,
+                  constant_free=True):
+    terms = {}
+    for _ in range(nterms):
+        mono = {}
+        for _ in range(rng.randrange(1 if constant_free else 0, 3)):
+            v = (rng.randrange(1, 4), rng.randrange(G.num_classes))
+            mono[v] = mono.get(v, 0) + 1
+        key = (tuple(sorted(mono.items())), rng.randrange(-max_t, max_t + 1))
+        terms[key] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+    return GradedSeries(G, N, t_den, terms)
+
+
+# -- differential tests ---------------------------------------------------------
+
+
+def test_compose_matches_oracle_both_modes():
+    rng = random.Random(20261018)
+    for G in GROUPS:
+        for t_den_f, t_den_g in ((1, 1), (2, 1), (1, 3), (2, 3)):
+            for _ in range(3):
+                # right mode: f over G, g over the trivial group
+                f = random_series(G, 6, rng, t_den_f, constant_free=False)
+                g = random_series(C1, 5, rng, t_den_g, nterms=3)
+                h = compose(f, g)
+                assert_clean(h)
+                assert h == oracle_compose(f, g)
+                # left mode: f over the trivial group, g over G
+                f = random_series(C1, 6, rng, t_den_f, constant_free=False)
+                g = random_series(G, 6, rng, t_den_g, nterms=3)
+                h = compose(f, g)
+                assert_clean(h)
+                assert h == oracle_compose(f, g)
+
+
+def test_compose_shared_prefixes_match_oracle():
+    # many monomials with long common prefixes exercise the prefix stack
+    rng = random.Random(7)
+    for G in (C2, S3):
+        E = exp_series(G, 6).scale_t(1)
+        g = random_series(C1, 6, rng, 2, nterms=4)
+        h = compose(E, g)
+        assert_clean(h)
+        assert h == oracle_compose(E, g)
+
+
+def test_analytic_helpers_match_oracles():
+    rng = random.Random(99)
+    for G in GROUPS:
+        for t_den in (1, 2):
+            for _ in range(3):
+                f = random_series(G, 5, rng, t_den)
+                for got, want in ((exp_of(f), oracle_exp(f)),
+                                  (log1p_of(f), oracle_log1p(f)),
+                                  *((pow1p_of(f, a), oracle_pow1p(f, a))
+                                    for a in ALPHAS)):
+                    assert_clean(got)
+                    assert got == want
+
+
+def test_invert_matches_oracle():
+    rng = random.Random(3)
+    for G in GROUPS:
+        for t_den in (1, 3):
+            for c0 in (Fraction(1), Fraction(-2, 3)):
+                f = random_series(G, 5, rng, t_den) + one(G, 5).scale(c0)
+                inv = f.invert()
+                assert_clean(inv)
+                assert inv == oracle_invert(f)
+                assert f * inv == one(G, 5)
+
+
+def test_exp_compose_matches_composing_the_exponential():
+    rng = random.Random(11)
+    for G in GROUPS:
+        N = 5
+        for g in (l_series(C1, N), l_series(C1, N).attach_t(1, 2),
+                  random_series(C1, N, rng, 3, nterms=3)):
+            got = exp_compose(G, N, g)
+            assert_clean(got)
+            assert got == oracle_compose(exp_series(G, N), g)
+
+
+def test_exp_series_is_exp_of_its_argument():
+    for G in GROUPS:
+        A = exp_arg(G, 5)
+        assert_clean(A)
+        assert exp_series(G, 5) == oracle_exp(A)
+
+
+# -- laws ----------------------------------------------------------------------
+
+LAWS = settings(deadline=None, max_examples=25, derandomize=True,
+                database=None)
+
+
+@st.composite
+def series(draw, group=None, constant_free=True, nterms=4):
+    G = group if group is not None else draw(st.sampled_from(GROUPS))
+    N = draw(st.integers(2, 5))
+    t_den = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return random_series(G, N, random.Random(seed), t_den, nterms=nterms,
+                         constant_free=constant_free)
+
+
+@LAWS
+@given(st.data())
+def test_law_compose_is_multiplicative(data):
+    if data.draw(st.booleans()):
+        G = data.draw(st.sampled_from(GROUPS))
+        f = data.draw(series(G, constant_free=False))
+        g = data.draw(series(G, constant_free=False))
+        h = data.draw(series(C1, nterms=3))
+    else:
+        f = data.draw(series(C1, constant_free=False))
+        g = data.draw(series(C1, constant_free=False))
+        h = data.draw(series(nterms=3))
+    lhs = compose(f * g, h)
+    assert_clean(lhs)
+    assert lhs == compose(f, h) * compose(g, h)
+
+
+@LAWS
+@given(series(), series(C1, nterms=3))
+def test_law_compose_commutes_with_exp(A, g):
+    lhs = compose(exp_of(A), g)
+    assert_clean(lhs)
+    assert lhs == exp_of(compose(A, g))
+
+
+@LAWS
+@given(series())
+def test_law_log_inverts_exp(A):
+    E = exp_of(A)
+    assert_clean(E)
+    back = log1p_of(E - one(A.group, A.trunc))
+    assert_clean(back)
+    assert back == A
+
+
+@LAWS
+@given(series(), st.fractions(-3, 3, max_denominator=4),
+       st.fractions(-3, 3, max_denominator=4))
+def test_law_powers_add(f, a, b):
+    pa, pb = pow1p_of(f, a), pow1p_of(f, b)
+    assert_clean(pa)
+    assert pa * pb == pow1p_of(f, a + b)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from wreathcalc.groups import cyclic_group, symmetric_group
+from wreathcalc import theorems
+from wreathcalc.groups import cyclic_group, group_from_table, symmetric_group
 from wreathcalc.plethysm import average_p1, compose, sech_series, tanh_series
 from wreathcalc.series import (eq_to_degree, exp_series, l_series,
                                natural_spec, one, p, uni_analytic, zero)
@@ -300,6 +301,28 @@ def test_lefschetz_routes_agree_on_family_posets():
         w = type_representative(C2, tau)
         a, b = lefschetz_two_routes(P, act(w))
         assert a == b
+
+
+def test_poset_cache_is_bounded():
+    theorems._poset_cache.clear()
+    for family in ("q", "r", "qsim"):
+        for G in (C1, C2, C3):
+            for n in range(1, 4):
+                _acted_poset(family, G, n, None)
+                assert len(theorems._poset_cache) <= \
+                    theorems._POSET_CACHE_SIZE
+    assert len(theorems._poset_cache) == theorems._POSET_CACHE_SIZE
+
+
+def test_poset_cache_keys_by_table():
+    theorems._poset_cache.clear()
+    first = cyclic_group(2)
+    twin = group_from_table(first.table)
+    assert twin is not first
+    P, _act = _acted_poset("q", first, 3, None)
+    Q, _act = _acted_poset("q", twin, 3, None)
+    assert Q is P
+    assert len(theorems._poset_cache) == 1
 
 
 def test_theorem_id_catalogue_is_complete():
