@@ -209,30 +209,44 @@ class FamilyPoset:
     index_of: dict = field(default_factory=dict)
 
     def action_of(self, w: WreathElement) -> list[int]:
-        """The poset permutation induced by a wreath element."""
+        """The poset permutation induced by a wreath element.
+
+        Payloads share parts and i_masks, so each distinct mask is
+        transformed once per call.
+        """
         if len(w.perm) != self.n:
             raise FamilyError("element acts on %d positions, poset has %d"
                               % (len(w.perm), self.n))
         point_perm = induced_point_perm(self.G, w)
+        i_images: dict[int, int] = {}
+        part_images: dict[int, int] = {}
         out = []
-        for payload in self.poset.payloads:
-            image = transform_payload(payload, w.perm, point_perm)
-            out.append(self.index_of[image])
+        for i_mask, parts in self.poset.payloads:
+            new_i = i_images.get(i_mask)
+            if new_i is None:
+                new_i = i_images[i_mask] = _mask_image(i_mask, w.perm)
+            new_parts = []
+            for K in parts:
+                img = part_images.get(K)
+                if img is None:
+                    img = part_images[K] = _mask_image(K, point_perm)
+                new_parts.append(img)
+            new_parts.sort()
+            out.append(self.index_of[(new_i, tuple(new_parts))])
         return out
+
+
+def _mask_image(mask: int, perm) -> int:
+    image = 0
+    for b in _iter_bits(mask):
+        image |= 1 << perm[b]
+    return image
 
 
 def transform_payload(payload: Payload, perm, point_perm) -> Payload:
     i_mask, parts = payload
-    new_i = 0
-    for m in _iter_bits(i_mask):
-        new_i |= 1 << perm[m]
-    new_parts = []
-    for K in parts:
-        mask = 0
-        for pnt in _iter_bits(K):
-            mask |= 1 << point_perm[pnt]
-        new_parts.append(mask)
-    return (new_i, tuple(sorted(new_parts)))
+    return (_mask_image(i_mask, perm),
+            tuple(sorted(_mask_image(K, point_perm) for K in parts)))
 
 
 def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int) -> list[int]:

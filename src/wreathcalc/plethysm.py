@@ -112,6 +112,12 @@ def exp_compose(G: FiniteGroup, N: int, g: GradedSeries) -> GradedSeries:
     return exp_of(compose(exp_arg(G, N), g))
 
 
+def _exp_compose_inverse(G: FiniteGroup, N: int,
+                         g: GradedSeries) -> GradedSeries:
+    """1 / (exp_series(G, N) o g), computed as exp(-(exp_arg(G, N) o g))."""
+    return exp_of(compose(exp_arg(G, N), g).neg())
+
+
 def plethystic_inverse(f: GradedSeries) -> GradedSeries:
     """Compositional inverse of a t-free trivial-group series f = a*p_1 + higher.
 

@@ -7,14 +7,16 @@ automorphism -- works on these masks with integer arithmetic only, so results
 are exact.
 
 Homology is reduced rational homology of the order complex (the simplicial
-complex of chains) computed by Gaussian elimination on sparse boundary
-matrices over Fraction entries, including the augmentation, so the empty
-poset correctly reports one dimension in degree -1.
+complex of chains), from the ranks of sparse integer boundary matrices
+computed by fraction-free echelon reduction, including the augmentation, so
+the empty poset correctly reports one dimension in degree -1.  Philip Hall's
+chain-count check on Moebius values counts chains by size without listing
+them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -197,7 +199,11 @@ class Poset:
     # -- chains ----------------------------------------------------------------------
 
     def chains(self) -> dict[int, list[tuple[int, ...]]]:
-        """All nonempty chains, grouped by size."""
+        """All nonempty chains, grouped by size.
+
+        Only order-complex homology lists chains, because it needs the
+        simplices; Hall's formula uses chain_counts instead.
+        """
         by_size: dict[int, list[tuple[int, ...]]] = {}
 
         def extend(chain: tuple[int, ...], top_elt: int) -> None:
@@ -210,31 +216,56 @@ class Poset:
         return by_size
 
 
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Exact rank of a sparse rational matrix by elimination, smallest rows first."""
-    live = [dict(r) for r in rows if r]
-    rank = 0
-    while live:
-        k = min(range(len(live)), key=lambda idx: len(live[idx]))
-        row = live.pop(k)
-        col = min(row, key=lambda c: (abs(row[c].numerator) + abs(row[c].denominator), c))
-        pivot = row[col]
-        rank += 1
-        nxt = []
-        for r in live:
-            v = r.get(col)
-            if v is not None:
-                factor = v / pivot
-                for c, rv in row.items():
-                    nv = r.get(c, Fraction(0)) - factor * rv
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-            if r:
-                nxt.append(r)
-        live = nxt
-    return rank
+def chain_counts(P: Poset) -> dict[int, int]:
+    """Number of nonempty chains of P by size, without listing them.
+
+    c_k(j), the number of chains of size k with top element j, is 1 for
+    k = 1 and the sum of c_{k-1}(i) over i < j otherwise; each size is
+    computed from the one below it until no chain is left.
+    """
+    below = [list(_iter_bits(P.strict_down(j))) for j in range(P.n)]
+    counts: dict[int, int] = {}
+    level = [1] * P.n
+    size = 1
+    while any(level):
+        counts[size] = sum(level)
+        get = level.__getitem__
+        level = [sum(map(get, lower)) for lower in below]
+        size += 1
+    return counts
+
+
+def _sparse_rank(rows: list[dict[int, int]]) -> int:
+    """Exact rank over Q of a sparse integer matrix, without fractions.
+
+    Each row is reduced against the pivot rows found so far, which are kept
+    by their leading (largest) column: with pivot entry p and row entry v,
+    r <- r - (v p) row when p = +-1, else r <- p r - v row.  A row that
+    survives becomes a pivot row, divided by the gcd of its entries.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            col = max(r)
+            prow = pivots.get(col)
+            if prow is None:
+                g = gcd(*r.values())
+                pivots[col] = {c: v // g for c, v in r.items()} if g != 1 else r
+                break
+            v, p = r[col], prow[col]
+            if p == 1 or p == -1:
+                f = v * p
+            else:
+                f = v
+                r = {c: p * x for c, x in r.items()}
+            for c, x in prow.items():
+                nv = r.get(c, 0) - f * x
+                if nv:
+                    r[c] = nv
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 def order_complex_homology(P: Poset) -> dict[int, int]:
@@ -255,10 +286,10 @@ def order_complex_homology(P: Poset) -> dict[int, int]:
         rows = []
         lower = index_of.get(k - 1, {})
         for chain in dims.get(k, []):
-            row: dict[int, Fraction] = {}
+            row: dict[int, int] = {}
             for drop in range(len(chain)):
                 face = chain[:drop] + chain[drop + 1:]
-                row[lower[face]] = Fraction((-1) ** drop)
+                row[lower[face]] = -1 if drop & 1 else 1
             rows.append(row)
         boundary_rank[k] = _sparse_rank(rows)
     betti = {}
@@ -273,14 +304,14 @@ def mobius_via_chains(P: Poset) -> int:
     """mu(bottom, top) as the signed count of chains of the proper part.
 
     Philip Hall's formula, used as an implementation-independent check on
-    the Moebius recursion.
+    the Moebius recursion: the chains are counted unsigned and by size
+    (chain_counts), and only the final sum carries signs.
     """
     if P.bottom() is not None and P.bottom() == P.top():
         return 1
-    proper = P.proper_part()
     total = -1  # the empty chain
-    for size, chs in proper.chains().items():
-        total += (-1) ** size * len(chs) * (-1)
+    for size, count in chain_counts(P.proper_part()).items():
+        total -= (-1) ** size * count
     return total
 
 

@@ -19,8 +19,9 @@ from typing import Callable, Optional, Sequence
 
 from .dowling import build_family, count_family
 from .groups import FiniteGroup, cyclic_group
-from .plethysm import (arcsinh_series, average_p1, compose, exp_compose,
-                       plethystic_inverse, product_form_inverse, sech_series)
+from .plethysm import (_exp_compose_inverse, arcsinh_series, average_p1,
+                       compose, exp_compose, plethystic_inverse,
+                       product_form_inverse, sech_series)
 from .posets import (Poset, equivariant_char_poly, fixed_subposet,
                      lefschetz_top_trace, mobius_via_chains,
                      order_complex_homology)
@@ -184,11 +185,11 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         return product_form_inverse(G, N)
     L = l_series(triv, N)
     if theorem == "hanlon":
-        return exp_compose(G, N, L).invert()
+        return _exp_compose_inverse(G, N, L)
     if theorem == "second":
         return one(G, N) - exp_compose(G, N, L)
     if theorem == "third":
-        return (one(G, N) + average_p1(G, N)) * exp_compose(G, N, L).invert()
+        return (one(G, N) + average_p1(G, N)) * _exp_compose_inverse(G, N, L)
     E = exp_series(G, N)
     if theorem == "one_mod_d":
         trunk = exp_series(triv, N)
@@ -199,8 +200,7 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         return compose(outer, inverse_arg)
     if theorem == "zero_mod_d":
         trunk = mod_filter(exp_series(triv, N), 0, d) - one(triv, N)
-        inner = exp_compose(G, N, compose(L, trunk))
-        return one(G, N) - E * inner.invert()
+        return one(G, N) - E * _exp_compose_inverse(G, N, compose(L, trunk))
     if theorem == "whitney_hanlon":
         return _whitney_q_closed(G, N)
     if theorem == "whitney_R":
@@ -340,7 +340,7 @@ def brute_force_side(theorem: str, G: FiniteGroup, n: int,
             return exp_series(G, 2).homogeneous_part(2)
         return None
     if theorem == "product_form_F":
-        return exp_compose(G, n, l_series(_trivial(), n)).invert() \
+        return _exp_compose_inverse(G, n, l_series(_trivial(), n)) \
             .homogeneous_part(n)
     if theorem == "fibre_corollary":
         full_q = _statement_sum("hanlon", G, n, None, force)

@@ -4,7 +4,9 @@ These constructions deliberately avoid the package's own Dowling-family
 code paths so they can serve as cross-checks.  The series oracles are the
 straightforward algorithms the series core used before its fast paths:
 plethysm term by term through the public ring operations, and exp, log,
-powers and inverses by repeated full products.
+powers and inverses by repeated full products.  The poset oracles are the
+ones the poset layer used before it stopped listing chains: Hall's sum over
+the listed chains, and rank by elimination over Fraction entries.
 """
 
 import itertools
@@ -46,6 +48,31 @@ def partition_lattice(n):
     def refines(a, b):
         return all(any(block <= big for big in b) for block in a)
     return Poset(payloads, refines, validate=True)
+
+
+def random_poset(rng, n, density=0.4):
+    """A random poset on n elements: the transitive closure of random edges
+    i < j, relabeled by a random permutation."""
+    up = [1 << i for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                up[i] |= up[j]
+    label = list(range(n))
+    rng.shuffle(label)
+    relabeled = [0] * n
+    for i, mask in enumerate(up):
+        relabeled[label[i]] = sum(1 << label[j] for j in range(n)
+                                  if (mask >> j) & 1)
+    return Poset.from_masks(list(range(n)), relabeled)
+
+
+def bounded(P):
+    """P with a new bottom and a new top adjoined."""
+    n = P.n
+    top = 1 << (n + 1)
+    up = [(1 << (n + 2)) - 1] + [(m << 1) | top for m in P.up] + [top]
+    return Poset.from_masks(["0"] + list(P.payloads) + ["1"], up)
 
 
 def bell_number(n):
@@ -157,3 +184,44 @@ def assert_clean(s):
         assert len({v for v, _e in mono}) == len(mono), mono
         assert all(e >= 1 for _v, e in mono), mono
         assert type(t_num) is int, t_num
+
+
+# -- poset oracles ------------------------------------------------------------
+
+
+def oracle_hall_mobius(P):
+    """mu(bottom, top) by Hall's formula over the listed chains of the proper part."""
+    if P.bottom() is not None and P.bottom() == P.top():
+        return 1
+    total = -1  # the empty chain
+    for size, chs in P.proper_part().chains().items():
+        total += (-1) ** size * len(chs) * (-1)
+    return total
+
+
+def oracle_sparse_rank(rows):
+    """Rank of a sparse matrix by elimination over Fraction, smallest rows first."""
+    live = [{c: Fraction(v) for c, v in r.items()} for r in rows if r]
+    rank = 0
+    while live:
+        k = min(range(len(live)), key=lambda idx: len(live[idx]))
+        row = live.pop(k)
+        col = min(row, key=lambda c: (abs(row[c].numerator)
+                                      + abs(row[c].denominator), c))
+        pivot = row[col]
+        rank += 1
+        nxt = []
+        for r in live:
+            v = r.get(col)
+            if v is not None:
+                factor = v / pivot
+                for c, rv in row.items():
+                    nv = r.get(c, Fraction(0)) - factor * rv
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+            if r:
+                nxt.append(r)
+        live = nxt
+    return rank

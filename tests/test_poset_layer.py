@@ -1,0 +1,120 @@
+"""Poset layer: chain counts by size, Hall's formula without listed chains,
+fraction-free homology ranks and the memoized group action, each against
+the listing and Fraction oracles in conftest."""
+
+import random
+
+import pytest
+
+from conftest import (bounded, oracle_hall_mobius, oracle_sparse_rank,
+                      partition_lattice, random_poset)
+from wreathcalc import posets
+from wreathcalc.dowling import build_family, transform_payload
+from wreathcalc.groups import cyclic_group, symmetric_group
+from wreathcalc.posets import (Poset, chain_counts, fixed_subposet,
+                               mobius_via_chains, order_complex_homology)
+from wreathcalc.theorems import lefschetz_two_routes, verify
+from wreathcalc.wreath import (enumerate_class_types, induced_point_perm,
+                               type_representative)
+
+C1, C2, S3 = cyclic_group(1), cyclic_group(2), symmetric_group(3)
+
+
+def homology_by_oracle(P, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(posets, "_sparse_rank", oracle_sparse_rank)
+        return order_complex_homology(P)
+
+
+def random_posets():
+    rng = random.Random(2024)
+    for n in range(12):
+        for _ in range(4):
+            yield random_poset(rng, n, rng.choice((0.2, 0.4, 0.7)))
+
+
+def fixed_subposets():
+    """Fixed subposets of small r, q and pi posets under every class
+    representative."""
+    for family, G, n in (("r", C2, 3), ("r", S3, 2), ("q", C2, 3),
+                         ("q", S3, 2), ("pi", C1, 4)):
+        fp = build_family(family, G, n)
+        for tau in enumerate_class_types(G, n):
+            sub, _orig = fixed_subposet(fp.poset,
+                                        fp.action_of(type_representative(G, tau)))
+            yield sub
+
+
+def test_chain_counts_match_listed_chains():
+    for P in list(random_posets()) + list(fixed_subposets()):
+        assert chain_counts(P) == {k: len(v) for k, v in P.chains().items()}
+    assert chain_counts(Poset.from_masks([], [])) == {}
+
+
+def test_hall_count_matches_listing_oracle():
+    for P in list(random_posets()) + [partition_lattice(4)]:
+        B = bounded(P)
+        assert mobius_via_chains(B) == oracle_hall_mobius(B) \
+            == B.mobius_bottom_top()
+    for sub in fixed_subposets():
+        assert mobius_via_chains(sub) == oracle_hall_mobius(sub) \
+            == sub.mobius_bottom_top()
+
+
+def test_homology_matches_fraction_oracle(monkeypatch):
+    for P in random_posets():
+        assert order_complex_homology(P) == homology_by_oracle(P, monkeypatch)
+    for sub in fixed_subposets():
+        proper = sub.proper_part()
+        assert order_complex_homology(proper) \
+            == homology_by_oracle(proper, monkeypatch)
+
+
+def test_sparse_rank_on_random_integer_matrices():
+    # entries in -3..3 make non-unit pivots common; boundary matrices reach
+    # that branch only through fill-in
+    rng = random.Random(7)
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        rows = [{c: v for c in range(ncols)
+                 if (v := rng.randint(-3, 3)) and rng.random() < 0.6}
+                for _ in range(rng.randint(0, 7))]
+        for _ in range(rng.randint(0, 3)):   # dependent rows
+            if not rows:
+                break
+            combo = {}
+            for r in rng.sample(rows, min(len(rows), 2)):
+                a = rng.choice((-2, -1, 1, 3))
+                for c, v in r.items():
+                    combo[c] = combo.get(c, 0) + a * v
+            rows.insert(rng.randrange(len(rows) + 1),
+                        {c: v for c, v in combo.items() if v})
+        before = [dict(r) for r in rows]
+        assert posets._sparse_rank(rows) == oracle_sparse_rank(rows)
+        assert rows == before
+
+
+def test_action_of_matches_transform_payload():
+    for G, n in ((C2, 4), (S3, 3)):
+        fp = build_family("q", G, n)
+        for tau in enumerate_class_types(G, n):
+            w = type_representative(G, tau)
+            point_perm = induced_point_perm(G, w)
+            expected = [fp.index_of[transform_payload(x, w.perm, point_perm)]
+                        for x in fp.poset.payloads]
+            assert fp.action_of(w) == expected
+
+
+def test_trace_check_lists_no_chains(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the trace check listed chains")
+
+    monkeypatch.setattr(Poset, "chains", refuse)
+    assert verify("hanlon", C2, 4, force=True).ok
+    fp = build_family("q", C2, 3)
+    for tau in enumerate_class_types(C2, 3):
+        via_mobius, via_chains = lefschetz_two_routes(
+            fp.poset, fp.action_of(type_representative(C2, tau)))
+        assert via_mobius == via_chains
+    with pytest.raises(AssertionError):
+        order_complex_homology(fp.poset)

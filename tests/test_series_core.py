@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (assert_clean, oracle_compose, oracle_exp,
                       oracle_invert, oracle_log1p, oracle_pow1p)
 from wreathcalc.groups import cyclic_group, symmetric_group
-from wreathcalc.plethysm import compose, exp_compose
+from wreathcalc.plethysm import _exp_compose_inverse, compose, exp_compose
 from wreathcalc.series import (GradedSeries, exp_arg, exp_of, exp_series,
                                l_series, log1p_of, one, pow1p_of)
 
@@ -107,6 +107,17 @@ def test_exp_compose_matches_composing_the_exponential():
             got = exp_compose(G, N, g)
             assert_clean(got)
             assert got == oracle_compose(exp_series(G, N), g)
+
+
+def test_exp_compose_inverse_matches_inverting_it():
+    rng = random.Random(12)
+    for G in GROUPS + (cyclic_group(3),):
+        N = 6
+        for g in (l_series(C1, N), l_series(C1, N).attach_t(1, 2),
+                  random_series(C1, N, rng, 3, nterms=3)):
+            got = _exp_compose_inverse(G, N, g)
+            assert_clean(got)
+            assert got == exp_compose(G, N, g).invert()
 
 
 def test_exp_series_is_exp_of_its_argument():
