@@ -13,7 +13,9 @@ each part to pick exactly one group label per position it touches, so a part
 is a position block plus a section, and its G-orbit has exactly |G| parts.
 
 The order: (I, pi) <= (I', pi') iff I is contained in I' and every part of pi
-either sits inside G x I' or inside a single part of pi'.
+either sits inside G x I' or inside a single part of pi'.  The relation and
+the fixed points of a wreath element are computed as bitmasks over element
+indices, by intersecting a few per-position and per-part masks.
 
 Families select which elements are kept:
 
@@ -37,7 +39,7 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .groups import FiniteGroup
-from .posets import Poset, _iter_bits
+from .posets import Poset, _iter_bits, _mask_of
 from .wreath import WreathElement, induced_point_perm
 
 FAMILIES = ("q", "r", "qsim", "q1modd", "q0modd", "pi")
@@ -207,6 +209,35 @@ class FamilyPoset:
     d: Optional[int]
     poset: Poset
     index_of: dict = field(default_factory=dict)
+    # part_masks[K]: the elements that have K as a part
+    part_masks: dict = field(default_factory=dict)
+
+    def fixed_mask(self, w: WreathElement) -> int:
+        """The bitmask of the elements w fixes, without the permutation.
+
+        w fixes (I, pi) iff it maps every part of pi onto a part of pi: a
+        bijection that maps a finite set of parts into itself permutes it,
+        and then it also maps G x I, the points outside the parts, onto
+        itself.  So x is fixed iff H[K] holding x implies H[wK] holding x
+        for every part K that w moves.
+        """
+        if len(w.perm) != self.n:
+            raise FamilyError("element acts on %d positions, poset has %d"
+                              % (len(w.perm), self.n))
+        H = self.part_masks
+        fixed = (1 << self.poset.n) - 1
+        point_perm = induced_point_perm(self.G, w)
+        moved = _mask_of([p for p, q in enumerate(point_perm) if p != q],
+                         len(point_perm))
+        tables = _byte_tables(point_perm)
+        for K, having in H.items():
+            if K & moved:
+                image, rest = 0, K
+                for table in tables:
+                    image |= table[rest & 255]
+                    rest >>= 8
+                fixed &= ~having | H.get(image, 0)
+        return fixed
 
     def action_of(self, w: WreathElement) -> list[int]:
         """The poset permutation induced by a wreath element.
@@ -243,56 +274,83 @@ def _mask_image(mask: int, perm) -> int:
     return image
 
 
+def _byte_tables(perm) -> list[list[int]]:
+    """Images under perm of the bytes of a mask: the image of a mask is the
+    OR of tables[c][(mask >> 8c) & 255] over its bytes c."""
+    tables = []
+    for base in range(0, len(perm), 8):
+        table = [0] * (1 << min(8, len(perm) - base))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << perm[base + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
 def transform_payload(payload: Payload, perm, point_perm) -> Payload:
     i_mask, parts = payload
     return (_mask_image(i_mask, perm),
             tuple(sorted(_mask_image(K, point_perm) for K in parts)))
 
 
-def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int) -> list[int]:
-    """Relation masks computed levelwise: x <= y forces the ambient rank
-    n - #blocks to grow and I to be contained, so most pairs exit in one test."""
-    o = G.order
-    npoints = n * o
+def _element_masks(payloads: list[Payload],
+                   n: int) -> tuple[list[int], dict[int, int]]:
+    """Per-position masks Z[m] of the elements with m in I, and per-part
+    masks H[K] of the elements that have K as a part."""
     count = len(payloads)
-    pos_mask = [((1 << o) - 1) << (m * o) for m in range(n)]
-    j_mask = []
-    part_at = []
-    rank = []
-    for i_mask, parts in payloads:
-        jm = 0
+    z_idx: list[list[int]] = [[] for _ in range(n)]
+    h_idx: dict[int, list[int]] = {}
+    for y, (i_mask, parts) in enumerate(payloads):
         for m in _iter_bits(i_mask):
-            jm |= pos_mask[m]
-        j_mask.append(jm)
-        pa = [0] * npoints
+            z_idx[m].append(y)
         for K in parts:
-            for pnt in _iter_bits(K):
-                pa[pnt] = K
-        part_at.append(pa)
-        rank.append(n - len(parts) // o)
-    levels: dict[int, list[int]] = {}
-    for idx, r in enumerate(rank):
-        levels.setdefault(r, []).append(idx)
-    up = [1 << i for i in range(count)]
-    for x in range(count):
-        xi, xparts = payloads[x]
-        for ry in range(rank[x] + 1, n + 1):
-            for y in levels.get(ry, ()):
-                if xi & ~payloads[y][0]:
-                    continue
-                jy = j_mask[y]
-                pay = part_at[y]
-                ok = True
-                for K in xparts:
-                    out = K & ~jy
-                    if not out:
-                        continue
-                    tgt = pay[(out & -out).bit_length() - 1]
-                    if K & ~tgt:
-                        ok = False
-                        break
-                if ok:
-                    up[x] |= 1 << y
+            h_idx.setdefault(K, []).append(y)
+    return ([_mask_of(ix, count) for ix in z_idx],
+            {K: _mask_of(ix, count) for K, ix in h_idx.items()})
+
+
+def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int,
+                    element_masks=None) -> list[int]:
+    """Relation masks by intersection: y is above x iff I_y holds I_x and
+    every part K of x lies in G x I_y or inside one part of y, so
+
+        up[x] = AND_{m in I_x} Z[m] & AND_{K in x} (Z(pos K) | P[K])
+
+    where Z(S) is the intersection of Z[m] over m in S and P[K] the union
+    of H[K'] over the parts K' containing K.  Every nonempty subset of a
+    free part is a free part, so P is filled from the subsets of each part.
+    """
+    o = G.order
+    Z, H = element_masks or _element_masks(payloads, n)
+    full = (1 << len(payloads)) - 1
+    covering = {0: full}   # position mask S -> Z(S)
+
+    def over(S: int) -> int:
+        mask = covering.get(S)
+        if mask is None:
+            low = S & -S
+            mask = covering[S] = over(S ^ low) & Z[low.bit_length() - 1]
+        return mask
+
+    containing: dict[int, int] = {}   # K -> P[K]
+    for big, having in H.items():
+        K = big
+        while K:
+            if K in H:
+                containing[K] = containing.get(K, 0) | having
+            K = (K - 1) & big
+    part_up = {}
+    for K, mask in containing.items():
+        positions = 0
+        for pnt in _iter_bits(K):
+            positions |= 1 << (pnt // o)
+        part_up[K] = over(positions) | mask
+    up = []
+    for i_mask, parts in payloads:
+        mask = over(i_mask)
+        for K in parts:
+            mask &= part_up[K]
+        up.append(mask)
     return up
 
 
@@ -301,13 +359,14 @@ def build_family(family: str, G: FiniteGroup, n: int, d: Optional[int] = None,
     payloads = enumerate_family(family, G, n, d)
     if len(payloads) != count_family(family, G, n, d):
         raise FamilyError("enumeration disagrees with the counting recursion")
+    Z, H = _element_masks(payloads, n)
     if validate:
         poset = Poset(payloads, dowling_leq_factory(G, n), validate=True)
     else:
-        poset = Poset.from_masks(payloads, _build_up_masks(payloads, G, n))
-    fp = FamilyPoset(family, G, n, d, poset,
-                     {payload: i for i, payload in enumerate(payloads)})
-    return fp
+        poset = Poset.from_masks(payloads,
+                                 _build_up_masks(payloads, G, n, (Z, H)))
+    return FamilyPoset(family, G, n, d, poset,
+                       {payload: i for i, payload in enumerate(payloads)}, H)
 
 
 def family_rank_formula(fp: FamilyPoset, payload: Payload) -> int:

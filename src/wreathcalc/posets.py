@@ -4,7 +4,11 @@ A Poset stores, for each element index i, the bitmask up[i] of all j with
 i <= j (and the transpose down[j]).  Everything downstream -- covers, Moebius
 values, rank functions, order-complex homology, fixed subposets under an
 automorphism -- works on these masks with integer arithmetic only, so results
-are exact.
+are exact.  A subposet can also be given as a mask W over the same indices:
+the fixed-point Moebius sweep, the chain counts of Hall's check and the
+equivariant characteristic polynomial keep one value per ambient element,
+zero outside W, and sum it along the ambient lists of elements below, so
+the fixed subposet is never built.
 
 Homology is reduced rational homology of the order complex (the simplicial
 complex of chains), from the ranks of sparse integer boundary matrices
@@ -31,10 +35,19 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _mask_of(indices: Iterable[int], size: int) -> int:
+    """The bitmask of the given indices, all below size, set in a byte buffer."""
+    buf = bytearray((size + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class Poset:
     """A finite poset over payload elements, compared once at construction."""
 
-    __slots__ = ("payloads", "n", "up", "down", "_mobius_cache", "_ranks")
+    __slots__ = ("payloads", "n", "up", "down", "_below", "_mobius_cache",
+                 "_ranks")
 
     def __init__(self, payloads: Sequence, leq: Callable, validate: bool = False):
         self.payloads = list(payloads)
@@ -47,31 +60,44 @@ class Poset:
                     mask |= 1 << j
             up.append(mask)
         self.up = up
-        self.down = self._transpose(up)
+        self._below: Optional[list[list[int]]] = None
+        self.down = self._transpose()
         self._mobius_cache: dict[int, dict[int, int]] = {}
         self._ranks: Optional[list[int]] = None
         if validate:
             self._validate()
 
     @classmethod
-    def from_masks(cls, payloads: Sequence, up: list[int]) -> "Poset":
+    def from_masks(cls, payloads: Sequence, up: list[int],
+                   down: Optional[list[int]] = None) -> "Poset":
+        """A poset from its up masks; down, when given, must be their transpose."""
         self = cls.__new__(cls)
         self.payloads = list(payloads)
         self.n = len(self.payloads)
         self.up = list(up)
-        self.down = self._transpose(self.up)
+        self._below = None
+        self.down = self._transpose() if down is None else list(down)
         self._mobius_cache = {}
         self._ranks = None
         return self
 
-    @staticmethod
-    def _transpose(up: list[int]) -> list[int]:
-        n = len(up)
-        down = [0] * n
-        for i, mask in enumerate(up):
-            for j in _iter_bits(mask):
-                down[j] |= 1 << i
-        return down
+    def below_lists(self) -> list[list[int]]:
+        """For each j, the increasing list of the indices i < j; built once.
+
+        The sweeps over a subposet sum values kept in a full-length list
+        along these ambient lists, where elements outside it hold zero.
+        """
+        if self._below is None:
+            below: list[list[int]] = [[] for _ in range(self.n)]
+            for i, mask in enumerate(self.up):
+                for j in _iter_bits(mask & ~(1 << i)):
+                    below[j].append(i)
+            self._below = below
+        return self._below
+
+    def _transpose(self) -> list[int]:
+        return [_mask_of(lower, self.n) | 1 << j
+                for j, lower in enumerate(self.below_lists())]
 
     def _validate(self) -> None:
         for i in range(self.n):
@@ -95,16 +121,27 @@ class Poset:
     def strict_down(self, i: int) -> int:
         return self.down[i] & ~(1 << i)
 
-    def bottom(self) -> Optional[int]:
-        for i in range(self.n):
-            if self.up[i] == (1 << self.n) - 1:
+    def bottom(self, within: Optional[int] = None) -> Optional[int]:
+        """The least element, of the subposet on the mask within if given.
+
+        Candidates are tried from the lowest index up."""
+        W = (1 << self.n) - 1 if within is None else within
+        for i in _iter_bits(W):
+            if self.up[i] & W == W:
                 return i
         return None
 
-    def top(self) -> Optional[int]:
-        for i in range(self.n):
-            if self.down[i] == (1 << self.n) - 1:
-                return i
+    def top(self, within: Optional[int] = None) -> Optional[int]:
+        """The greatest element, of the subposet on the mask within if given.
+
+        Candidates are tried from the highest index down."""
+        W = (1 << self.n) - 1 if within is None else within
+        rest = W
+        while rest:
+            j = rest.bit_length() - 1
+            if self.down[j] & W == W:
+                return j
+            rest ^= 1 << j
         return None
 
     def covers_of(self, i: int) -> list[int]:
@@ -121,17 +158,23 @@ class Poset:
     # -- subposets ---------------------------------------------------------------
 
     def subposet(self, indices: Sequence[int]) -> "Poset":
-        """Restriction to the given indices (payloads carried over)."""
+        """Restriction to the given indices (payloads carried over).
+
+        The induced order restricts both up and down, so nothing is
+        transposed.
+        """
         idx = list(indices)
-        pos = {orig: k for k, orig in enumerate(idx)}
-        up = []
-        for orig in idx:
-            mask = 0
-            for j in _iter_bits(self.up[orig]):
-                if j in pos:
-                    mask |= 1 << pos[j]
-            up.append(mask)
-        return Poset.from_masks([self.payloads[i] for i in idx], up)
+        keep = _mask_of(idx, self.n)
+        pos = [0] * self.n
+        for k, orig in enumerate(idx):
+            pos[orig] = k
+
+        def restrict(masks: list[int]) -> list[int]:
+            return [_mask_of([pos[j] for j in _iter_bits(masks[orig] & keep)],
+                             len(idx)) for orig in idx]
+
+        return Poset.from_masks([self.payloads[i] for i in idx],
+                                restrict(self.up), restrict(self.down))
 
     def proper_part_indices(self) -> list[int]:
         b, t = self.bottom(), self.top()
@@ -148,19 +191,27 @@ class Poset:
 
     # -- Moebius function -----------------------------------------------------------
 
-    def mobius_from(self, i: int) -> dict[int, int]:
-        """mu(i, j) for every j >= i, by one sweep in a linear extension."""
-        if i in self._mobius_cache:
+    def mobius_from(self, i: int, within: Optional[int] = None) -> dict[int, int]:
+        """mu(i, j) for every j >= i, by one sweep in a linear extension.
+
+        With a mask within (holding i), the values are those of the subposet
+        on within; only the whole poset's values are cached.
+        """
+        if within is None and i in self._mobius_cache:
             return self._mobius_cache[i]
-        above = sorted(_iter_bits(self.up[i]),
-                       key=lambda j: (self.down[j] & self.up[i]).bit_count())
-        mu: dict[int, int] = {}
-        for j in above:
-            if j == i:
-                mu[j] = 1
-            else:
-                mu[j] = -sum(mu[k] for k in _iter_bits(self.up[i] & self.strict_down(j)))
-        self._mobius_cache[i] = mu
+        above = self.up[i] if within is None else self.up[i] & within
+        if not (above >> i) & 1:
+            raise PosetError("the subposet does not hold element %d" % i)
+        below = self.below_lists()
+        order = sorted(_iter_bits(above), key=self.ranks().__getitem__)
+        values = [0] * self.n   # zero outside above and until swept
+        values[i] = 1
+        get = values.__getitem__
+        for j in order[1:]:
+            values[j] = -sum(map(get, below[j]))
+        mu = {j: values[j] for j in order}
+        if within is None:
+            self._mobius_cache[i] = mu
         return mu
 
     def mobius(self, i: int, j: int) -> int:
@@ -180,11 +231,11 @@ class Poset:
         """Longest-chain-from-minimal rank of each element."""
         if self._ranks is not None:
             return self._ranks
-        order = sorted(range(self.n), key=lambda j: self.down[j].bit_count())
+        below = self.below_lists()
         r = [0] * self.n
-        for j in order:
-            below = self.strict_down(j)
-            r[j] = max((r[k] + 1 for k in _iter_bits(below)), default=0)
+        get = r.__getitem__
+        for j in sorted(range(self.n), key=lambda j: len(below[j])):
+            r[j] = max(map(get, below[j]), default=-1) + 1
         self._ranks = r
         return r
 
@@ -216,21 +267,28 @@ class Poset:
         return by_size
 
 
-def chain_counts(P: Poset) -> dict[int, int]:
-    """Number of nonempty chains of P by size, without listing them.
+def chain_counts(P: Poset, within: Optional[int] = None) -> dict[int, int]:
+    """Number of nonempty chains of P (or of its subposet on the mask
+    within) by size, without listing them.
 
     c_k(j), the number of chains of size k with top element j, is 1 for
     k = 1 and the sum of c_{k-1}(i) over i < j otherwise; each size is
     computed from the one below it until no chain is left.
     """
-    below = [list(_iter_bits(P.strict_down(j))) for j in range(P.n)]
+    elems = range(P.n) if within is None else list(_iter_bits(within))
+    below = P.below_lists()
     counts: dict[int, int] = {}
-    level = [1] * P.n
+    level = [0] * P.n   # zero outside within
+    for j in elems:
+        level[j] = 1
     size = 1
     while any(level):
         counts[size] = sum(level)
         get = level.__getitem__
-        level = [sum(map(get, lower)) for lower in below]
+        nxt = [0] * P.n
+        for j in elems:
+            nxt[j] = sum(map(get, below[j]))
+        level = nxt
         size += 1
     return counts
 
@@ -300,25 +358,54 @@ def order_complex_homology(P: Poset) -> dict[int, int]:
     return betti
 
 
-def mobius_via_chains(P: Poset) -> int:
-    """mu(bottom, top) as the signed count of chains of the proper part.
+def mobius_via_chains(P: Poset, within: Optional[int] = None) -> int:
+    """mu(bottom, top) as the signed count of chains of the proper part
+    (of the subposet on the mask within, if given).
 
     Philip Hall's formula, used as an implementation-independent check on
     the Moebius recursion: the chains are counted unsigned and by size
     (chain_counts), and only the final sum carries signs.
     """
-    if P.bottom() is not None and P.bottom() == P.top():
+    b, t = P.bottom(within), P.top(within)
+    if b is not None and b == t:
         return 1
+    if b is None or t is None:
+        raise PosetError("proper part needs a bottom and a top")
+    W = (1 << P.n) - 1 if within is None else within
     total = -1  # the empty chain
-    for size, count in chain_counts(P.proper_part()).items():
+    for size, count in chain_counts(P, W & ~(1 << b) & ~(1 << t)).items():
         total -= (-1) ** size * count
     return total
+
+
+def fixed_mask(perm: Sequence[int]) -> int:
+    """The bitmask of the indices an index permutation fixes."""
+    return _mask_of([i for i, j in enumerate(perm) if i == j], len(perm))
+
+
+def _fixed(perm) -> int:
+    """A fixed-element mask, given either as one or as the permutation."""
+    return perm if isinstance(perm, int) else fixed_mask(perm)
 
 
 def fixed_subposet(P: Poset, perm: Sequence[int]) -> tuple[Poset, list[int]]:
     """Subposet of elements fixed by the automorphism, with their original indices."""
     fixed = [i for i in range(P.n) if perm[i] == i]
     return P.subposet(fixed), fixed
+
+
+def fixed_point_mobius(P: Poset, perm) -> tuple[int, int]:
+    """mu(0, 1) of the fixed subposet by the Moebius recursion and by Hall's
+    chain count, both on the ambient masks restricted to the fixed elements.
+
+    perm is the automorphism as an index permutation, or the bitmask of the
+    elements it fixes.
+    """
+    W = _fixed(perm)
+    b, t = P.bottom(W), P.top(W)
+    if b is None or t is None:
+        raise PosetError("needs a bottom and a top")
+    return P.mobius_from(b, W)[t], mobius_via_chains(P, W)
 
 
 def is_automorphism(P: Poset, perm: Sequence[int]) -> bool:
@@ -333,33 +420,35 @@ def is_automorphism(P: Poset, perm: Sequence[int]) -> bool:
     return True
 
 
-def lefschetz_top_trace(P: Poset, perm: Sequence[int]) -> int:
+def lefschetz_top_trace(P: Poset, perm) -> int:
     """(-1)^length(P) * mu(0,1) of the fixed subposet: the trace of the
     automorphism on the top reduced homology of the proper part when P is
-    Cohen-Macaulay.  Checked against the signed fixed-chain count."""
-    sub, _orig = fixed_subposet(P, perm)
-    via_mobius = sub.mobius_bottom_top()
-    via_chains = mobius_via_chains(sub)
+    Cohen-Macaulay.  Checked against the signed fixed-chain count.
+
+    perm is an index permutation or the bitmask of the elements it fixes.
+    """
+    via_mobius, via_chains = fixed_point_mobius(P, perm)
     if via_mobius != via_chains:
         raise PosetError("Moebius recursion and chain count disagree")
     sign = (-1) ** P.length()
     return sign * via_mobius
 
 
-def equivariant_char_poly(P: Poset, perm: Sequence[int]) -> dict[int, int]:
+def equivariant_char_poly(P: Poset, perm) -> dict[int, int]:
     """Coefficients {ambient rank r: sum of mu_fixed(0, x) over fixed x of rank r}.
 
-    Moebius values are taken in the fixed subposet, ranks in the ambient poset.
+    Moebius values are taken in the fixed subposet, ranks in the ambient
+    poset.  perm is an index permutation or the bitmask of the elements it
+    fixes.
     """
-    sub, orig = fixed_subposet(P, perm)
-    b = sub.bottom()
+    W = _fixed(perm)
+    b = P.bottom(W)
     if b is None:
         raise PosetError("fixed subposet lost the bottom element")
-    mu = sub.mobius_from(b)
     ambient_rank = P.ranks()
     out: dict[int, int] = {}
-    for local, value in mu.items():
-        r = ambient_rank[orig[local]]
+    for j, value in P.mobius_from(b, W).items():
+        r = ambient_rank[j]
         out[r] = out.get(r, 0) + value
     return {r: v for r, v in out.items() if v != 0}
 

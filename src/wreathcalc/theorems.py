@@ -22,9 +22,8 @@ from .groups import FiniteGroup, cyclic_group
 from .plethysm import (_exp_compose_inverse, arcsinh_series, average_p1,
                        compose, exp_compose, plethystic_inverse,
                        product_form_inverse, sech_series)
-from .posets import (Poset, equivariant_char_poly, fixed_subposet,
-                     lefschetz_top_trace, mobius_via_chains,
-                     order_complex_homology)
+from .posets import (Poset, equivariant_char_poly, fixed_point_mobius,
+                     lefschetz_top_trace, order_complex_homology)
 from .series import (GradedSeries, Mono, UniSeries, const, exp_series,
                      l_series, mod_filter, mono_degree, natural_spec, one,
                      t_monomial, uni_analytic, uni_const, uni_one,
@@ -264,7 +263,8 @@ _poset_cache: OrderedDict = OrderedDict()
 
 def _acted_poset(family: str, G: FiniteGroup, n: int,
                  d: Optional[int]) -> tuple[Poset, Callable]:
-    """Poset for the family plus a map from wreath elements to index perms."""
+    """Poset for the family plus a map from wreath elements to the bitmasks
+    of the elements they fix."""
     key = (family, G.table, n, d)
     hit = _poset_cache.get(key)
     if hit is not None:
@@ -274,20 +274,18 @@ def _acted_poset(family: str, G: FiniteGroup, n: int,
         fp = build_family("q1modd", G, n, 2)
         P = fp.poset
         if n % 2 == 1:
-            top = P.top()
-            keep = [i for i in range(P.n) if i != top]
-            pos = {orig: k for k, orig in enumerate(keep)}
-
-            def act(w, _fp=fp, _keep=keep, _pos=pos):
-                full = _fp.action_of(w)
-                return [_pos[full[orig]] for orig in _keep]
-
-            hit = (P.subposet(keep), act)
+            # the canonical sort puts the top, the only element with the
+            # full i_mask, last; removing it leaves a prefix of the indices
+            last = P.n - 1
+            assert P.top() == last
+            prefix = (1 << last) - 1
+            hit = (P.subposet(range(last)),
+                   lambda w: fp.fixed_mask(w) & prefix)
         else:
-            hit = (P, fp.action_of)
+            hit = (P, fp.fixed_mask)
     else:
         fp = build_family(family, G, n, d)
-        hit = (fp.poset, fp.action_of)
+        hit = (fp.poset, fp.fixed_mask)
     _poset_cache[key] = hit
     if len(_poset_cache) > _POSET_CACHE_SIZE:
         _poset_cache.popitem(last=False)
@@ -777,8 +775,11 @@ def sundaram_balance(family: str, G: FiniteGroup, n: int,
     return bad
 
 
-def lefschetz_two_routes(P: Poset, perm: Sequence[int]) -> tuple[int, int]:
-    """Top trace via the Mobius recursion and via signed chain counts."""
-    sub, _orig = fixed_subposet(P, perm)
+def lefschetz_two_routes(P: Poset, perm) -> tuple[int, int]:
+    """Top trace via the Mobius recursion and via signed chain counts.
+
+    perm is an index permutation or the bitmask of the elements it fixes.
+    """
     sign = (-1) ** P.length()
-    return sign * sub.mobius_bottom_top(), sign * mobius_via_chains(sub)
+    via_mobius, via_chains = fixed_point_mobius(P, perm)
+    return sign * via_mobius, sign * via_chains

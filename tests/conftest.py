@@ -6,14 +6,18 @@ straightforward algorithms the series core used before its fast paths:
 plethysm term by term through the public ring operations, and exp, log,
 powers and inverses by repeated full products.  The poset oracles are the
 ones the poset layer used before it stopped listing chains: Hall's sum over
-the listed chains, and rank by elimination over Fraction entries.
+the listed chains, and rank by elimination over Fraction entries.  The
+Dowling oracles are the ones it used before it worked on masks: relation
+masks by a pairwise test of payloads level by level, fixed elements read
+off the permutation from action_of, and fixed-point traces and
+characteristic polynomials on the materialized fixed subposet.
 """
 
 import itertools
 from fractions import Fraction
 
-from wreathcalc.groups import class_power
-from wreathcalc.posets import Poset
+from wreathcalc.groups import class_power, group_from_table
+from wreathcalc.posets import Poset, PosetError, _iter_bits
 from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, const,
                                mono_degree, one, zero)
 
@@ -225,3 +229,122 @@ def oracle_sparse_rank(rows):
                 nxt.append(r)
         live = nxt
     return rank
+
+
+# -- Dowling oracles -------------------------------------------------------------
+
+
+def relabeled(G, perm):
+    """The same group with element a renamed perm[a]."""
+    m = G.order
+    table = [[0] * m for _ in range(m)]
+    names = [""] * m
+    for a in range(m):
+        names[perm[a]] = G.names[a]
+        for b in range(m):
+            table[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return group_from_table(table, names)
+
+
+def oracle_up_masks(payloads, G, n):
+    """Relation masks by a pairwise test, level by level: x <= y forces the
+    ambient rank n - #blocks to grow and I to be contained."""
+    o = G.order
+    npoints = n * o
+    count = len(payloads)
+    pos_mask = [((1 << o) - 1) << (m * o) for m in range(n)]
+    j_mask = []
+    part_at = []
+    rank = []
+    for i_mask, parts in payloads:
+        jm = 0
+        for m in _iter_bits(i_mask):
+            jm |= pos_mask[m]
+        j_mask.append(jm)
+        pa = [0] * npoints
+        for K in parts:
+            for pnt in _iter_bits(K):
+                pa[pnt] = K
+        part_at.append(pa)
+        rank.append(n - len(parts) // o)
+    levels = {}
+    for idx, r in enumerate(rank):
+        levels.setdefault(r, []).append(idx)
+    up = [1 << i for i in range(count)]
+    for x in range(count):
+        xi, xparts = payloads[x]
+        for ry in range(rank[x] + 1, n + 1):
+            for y in levels.get(ry, ()):
+                if xi & ~payloads[y][0]:
+                    continue
+                jy = j_mask[y]
+                pay = part_at[y]
+                ok = True
+                for K in xparts:
+                    out = K & ~jy
+                    if not out:
+                        continue
+                    tgt = pay[(out & -out).bit_length() - 1]
+                    if K & ~tgt:
+                        ok = False
+                        break
+                if ok:
+                    up[x] |= 1 << y
+    return up
+
+
+def oracle_subposet(P, indices):
+    """Restriction by a dict lookup per bit, with down transposed again."""
+    idx = list(indices)
+    pos = {orig: k for k, orig in enumerate(idx)}
+    up = []
+    for orig in idx:
+        mask = 0
+        for j in _iter_bits(P.up[orig]):
+            if j in pos:
+                mask |= 1 << pos[j]
+        up.append(mask)
+    down = [0] * len(idx)
+    for i, mask in enumerate(up):
+        for j in _iter_bits(mask):
+            down[j] |= 1 << i
+    return up, down
+
+
+def oracle_fixed_mask(perm):
+    """The fixed elements of an index permutation, one bit at a time."""
+    mask = 0
+    for i, j in enumerate(perm):
+        if i == j:
+            mask |= 1 << i
+    return mask
+
+
+def _oracle_fixed_subposet(P, perm):
+    fixed = [i for i in range(P.n) if perm[i] == i]
+    up, down = oracle_subposet(P, fixed)
+    return Poset.from_masks([P.payloads[i] for i in fixed], up, down), fixed
+
+
+def oracle_top_trace(P, perm):
+    """(-1)^length * mu(0, 1) of the materialized fixed subposet, with Hall's
+    sum over its listed chains as the second route."""
+    sub, _fixed = _oracle_fixed_subposet(P, perm)
+    via_mobius = sub.mobius_bottom_top()
+    if via_mobius != oracle_hall_mobius(sub):
+        raise PosetError("Moebius recursion and chain count disagree")
+    return (-1) ** P.length() * via_mobius
+
+
+def oracle_char_poly(P, perm):
+    """Rank-indexed Moebius sums over the materialized fixed subposet."""
+    sub, fixed = _oracle_fixed_subposet(P, perm)
+    b = sub.bottom()
+    if b is None:
+        raise PosetError("fixed subposet lost the bottom element")
+    ranks = P.ranks()
+    out = {}
+    for local, value in sub.mobius_from(b).items():
+        r = ranks[fixed[local]]
+        out[r] = out.get(r, 0) + value
+    return {r: v for r, v in out.items() if v != 0}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import bell_number, partition_lattice
+from conftest import bell_number, partition_lattice, relabeled
 
 from wreathcalc.dowling import (
     FamilyError, build_family, count_family, dowling_leq_factory,
@@ -279,7 +279,8 @@ def test_leq_factory_basic_relations():
         assert leq(x, x)
 
 def test_pruned_masks_match_naive_relation():
-    # the levelwise mask builder must agree with the direct double loop
+    # the mask builder, which intersects per-position and per-part masks,
+    # must agree with the direct double loop
     from wreathcalc.dowling import _build_up_masks
 
     cases = [
@@ -289,6 +290,12 @@ def test_pruned_masks_match_naive_relation():
         ("q1modd", C2, 4, 2),
         ("q0modd", C2, 4, 2),
         ("pi", C1, 4, None),
+        ("q", relabeled(S3, [3, 5, 0, 1, 4, 2]), 3, None),
+        ("q", C3, 3, None),
+        ("q1modd", C2, 4, 3),
+        ("q0modd", C2, 4, 3),
+        ("q1modd", C3, 3, 3),
+        ("q0modd", C3, 3, 3),
     ]
     for family, G, n, d in cases:
         payloads = enumerate_family(family, G, n, d)

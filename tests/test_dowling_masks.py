@@ -1,0 +1,130 @@
+"""Dowling posets on masks: relation masks by intersection, fixed-element
+masks without the permutation, and fixed-point Moebius values and
+characteristic polynomials on the ambient masks, each against the pairwise,
+action_of and materialized-subposet oracles in conftest."""
+
+import random
+
+import pytest
+
+from conftest import (oracle_char_poly, oracle_fixed_mask, oracle_subposet,
+                      oracle_top_trace, oracle_up_masks, random_poset,
+                      relabeled)
+from wreathcalc.dowling import _build_up_masks, build_family
+from wreathcalc.groups import cyclic_group, symmetric_group
+from wreathcalc.posets import (PosetError, equivariant_char_poly,
+                               fixed_mask, lefschetz_top_trace)
+from wreathcalc.theorems import _acted_poset, lefschetz_two_routes
+from wreathcalc.wreath import (all_wreath_elements, enumerate_class_types,
+                               type_representative)
+
+C1, C2, C3, S3 = (cyclic_group(1), cyclic_group(2), cyclic_group(3),
+                  symmetric_group(3))
+S3_RELABELED = relabeled(S3, [3, 5, 0, 1, 4, 2])
+C3_RELABELED = relabeled(C3, [2, 0, 1])
+
+# (group, largest n) per group, kept small for the quadratic oracles
+GROUP_SIZES = ((C1, 5), (C2, 4), (C3, 3), (S3, 2), (S3_RELABELED, 2),
+               (C3_RELABELED, 3))
+FAMILIES = (("q", None), ("r", None), ("qsim", None), ("q1modd", 2),
+            ("q0modd", 2), ("q1modd", 3), ("q0modd", 3))
+
+
+def family_posets():
+    for G, n_max in GROUP_SIZES:
+        for n in range(1, n_max + 1):
+            for family, d in FAMILIES:
+                yield build_family(family, G, n, d)
+            if G.order == 1:
+                yield build_family("pi", G, n)
+
+
+def class_representatives(G, n):
+    return [type_representative(G, tau) for tau in enumerate_class_types(G, n)]
+
+
+def test_up_masks_match_pairwise_oracle():
+    for fp in family_posets():
+        P = fp.poset
+        assert _build_up_masks(P.payloads, fp.G, fp.n) == P.up
+        assert P.up == oracle_up_masks(P.payloads, fp.G, fp.n)
+        assert (P.up, P.down) == oracle_subposet(P, range(P.n))
+
+
+def test_fixed_mask_matches_action_of_on_class_representatives():
+    for fp in family_posets():
+        for w in class_representatives(fp.G, fp.n):
+            perm = fp.action_of(w)
+            assert fp.fixed_mask(w) == oracle_fixed_mask(perm) \
+                == fixed_mask(perm)
+
+
+def test_masked_routes_match_fixed_subposet_on_class_representatives():
+    for fp in family_posets():
+        P = fp.poset
+        for w in class_representatives(fp.G, fp.n):
+            perm, mask = fp.action_of(w), fp.fixed_mask(w)
+            trace = oracle_top_trace(P, perm)
+            assert lefschetz_top_trace(P, mask) == trace
+            assert lefschetz_top_trace(P, perm) == trace
+            assert lefschetz_two_routes(P, mask) == (trace, trace)
+            char_poly = oracle_char_poly(P, perm)
+            assert equivariant_char_poly(P, mask) == char_poly
+            assert equivariant_char_poly(P, perm) == char_poly
+
+
+def test_every_wreath_element():
+    for G, n in ((S3, 2), (C2, 3)):
+        for family, d in (("q", None), ("r", None), ("qsim", None),
+                          ("q1modd", 2), ("q0modd", 2)):
+            fp = build_family(family, G, n, d)
+            P = fp.poset
+            for w in all_wreath_elements(G, n):
+                perm, mask = fp.action_of(w), fp.fixed_mask(w)
+                assert mask == oracle_fixed_mask(perm)
+                assert lefschetz_top_trace(P, mask) \
+                    == oracle_top_trace(P, perm)
+                assert equivariant_char_poly(P, mask) \
+                    == oracle_char_poly(P, perm)
+
+
+def test_bn_masks_match_the_permutation_route():
+    # at odd n the top of q1modd is removed: it must be the last index, so
+    # the fixed elements of the rest are a prefix of the full fixed mask
+    for G, n_max in ((C1, 5), (C2, 5), (S3, 3)):
+        for n in range(1, n_max + 1):
+            P, act = _acted_poset("bn", G, n, 2)
+            fp = build_family("q1modd", G, n, 2)
+            keep = range(P.n)
+            assert fp.poset.n == P.n + n % 2
+            up, down = oracle_subposet(fp.poset, keep)
+            assert (P.up, P.down) == (up, down)
+            for w in class_representatives(G, n):
+                full = fp.action_of(w)
+                perm = [full[i] for i in keep]
+                assert act(w) == oracle_fixed_mask(perm)
+                assert equivariant_char_poly(P, act(w)) \
+                    == oracle_char_poly(P, perm)
+
+
+def test_subposet_restricts_up_and_down():
+    rng = random.Random(5)
+    for n in range(12):
+        for _ in range(4):
+            P = random_poset(rng, n, rng.choice((0.2, 0.4, 0.7)))
+            idx = rng.sample(range(n), rng.randint(0, n))
+            sub = P.subposet(idx)
+            assert (sub.up, sub.down) == oracle_subposet(P, idx)
+            assert sub.payloads == [P.payloads[i] for i in idx]
+    fp = build_family("q", C2, 3)
+    proper = fp.poset.proper_part()
+    assert (proper.up, proper.down) == oracle_subposet(
+        fp.poset, fp.poset.proper_part_indices())
+
+
+def test_masked_mobius_needs_its_start_in_the_mask():
+    P = build_family("q", C2, 2).poset
+    b, t = P.bottom(), P.top()
+    assert P.mobius_from(b, 1 << b | 1 << t) == {b: 1, t: -1}
+    with pytest.raises(PosetError):
+        P.mobius_from(b, 1 << t)

@@ -1,15 +1,17 @@
 """Poset layer: chain counts by size, Hall's formula without listed chains,
 fraction-free homology ranks and the memoized group action, each against
-the listing and Fraction oracles in conftest."""
+the listing and Fraction oracles in conftest; and guards that the trace
+check lists no chains and builds no subposet or permutation."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 
 from conftest import (bounded, oracle_hall_mobius, oracle_sparse_rank,
                       partition_lattice, random_poset)
-from wreathcalc import posets
-from wreathcalc.dowling import build_family, transform_payload
+from wreathcalc import posets, theorems
+from wreathcalc.dowling import FamilyPoset, build_family, transform_payload
 from wreathcalc.groups import cyclic_group, symmetric_group
 from wreathcalc.posets import (Poset, chain_counts, fixed_subposet,
                                mobius_via_chains, order_complex_homology)
@@ -118,3 +120,17 @@ def test_trace_check_lists_no_chains(monkeypatch):
         assert via_mobius == via_chains
     with pytest.raises(AssertionError):
         order_complex_homology(fp.poset)
+
+
+def test_traces_build_no_subposet_and_no_permutation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trace check left the ambient masks")
+
+    monkeypatch.setattr(Poset, "subposet", refuse)
+    monkeypatch.setattr(FamilyPoset, "action_of", refuse)
+    monkeypatch.setattr(theorems, "_poset_cache", OrderedDict())
+    assert verify("whitney_hanlon", C2, 4, force=True).ok
+    assert verify("hanlon", C2, 4, force=True).ok
+    P = build_family("q", C2, 2).poset
+    with pytest.raises(AssertionError):
+        fixed_subposet(P, list(range(P.n)))

@@ -185,3 +185,14 @@ def test_law_powers_add(f, a, b):
     pa, pb = pow1p_of(f, a), pow1p_of(f, b)
     assert_clean(pa)
     assert pa * pb == pow1p_of(f, a + b)
+
+
+@LAWS
+@given(series(), st.fractions(-3, 3, max_denominator=4).filter(bool))
+def test_law_invert_is_an_involution(f, c0):
+    f = f + one(f.group, f.trunc, f.t_den).scale(c0)
+    inv = f.invert()
+    assert_clean(inv)
+    back = inv.invert()
+    assert_clean(back)
+    assert back == f
