@@ -17,7 +17,7 @@ from .groups import (ConjugacyClass, FiniteGroup, GroupTableError,
                      read_table_text, symmetric_group)
 from .plethysm import (arcsinh_series, average_p1, compose, F_coefficient,
                        plethystic_inverse, product_form_inverse, sech_series,
-                       tanh_series)
+                       tanh_series, uni_analytic, uni_reversion)
 from .posets import (Poset, PosetError, atom_order_condition,
                      equivariant_char_poly, fixed_subposet,
                      is_automorphism, lefschetz_top_trace, mobius_via_chains,
@@ -25,9 +25,8 @@ from .posets import (Poset, PosetError, atom_order_condition,
 from .series import (GradedSeries, NotInvertibleError, SeriesError, UniSeries,
                      const, eq_to_degree, exp_of, exp_series, format_series,
                      l_series, log1p_of, mod_filter, moebius_mu, natural_spec,
-                     one, p, pow1p_of, series_terms, t_monomial, uni_analytic,
-                     uni_const, uni_one, uni_pow1p_of, uni_reversion, uni_x,
-                     uni_zero, zero)
+                     one, p, pow1p_of, series_terms, t_monomial, uni_const,
+                     uni_one, uni_pow1p_of, uni_x, uni_zero, zero)
 from .theorems import (THEOREM_IDS, THEOREM_SUMMARIES, BudgetError,
                        UsageError, VerificationReport, bn_dimension,
                        bn_dimension_formula, brute_force_side,

@@ -20,12 +20,12 @@ would need infinitely many terms of f per output degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .groups import FiniteGroup, class_power
 from .series import (
-    GradedSeries, Mono, ONE_MONO, SeriesError, _mul_by_degree, exp_arg,
-    exp_of, exp_series, mod_filter, mono_degree, one, p, pow1p_of,
+    GradedSeries, Mono, ONE_MONO, SeriesError, UniSeries, _mul_by_degree,
+    exp_arg, exp_of, exp_series, mod_filter, mono_degree, one, p, pow1p_of,
     zero,
 )
 
@@ -147,6 +147,9 @@ def plethystic_inverse(f: GradedSeries) -> GradedSeries:
     return g
 
 
+uni_reversion = plethystic_inverse
+
+
 def average_p1(G: FiniteGroup, N: int) -> GradedSeries:
     """sum over classes of (|c|/|G|) p_1(c): the degree-1 part of exp_series."""
     acc = zero(G, N)
@@ -203,3 +206,43 @@ def arcsinh_series(trivial: FiniteGroup, N: int) -> GradedSeries:
     if trivial.order != 1:
         raise SeriesError("the arcsinh lift lives over the trivial group")
     return plethystic_inverse(mod_filter(exp_series(trivial, N), 1, 2, "equal"))
+
+
+def uni_analytic(name: str, N: int, alpha=None) -> GradedSeries:
+    """Maclaurin series in x = p_1 over the one-element group, exact coefficients.
+
+    Supported names: exp, log1p, sinh, cosh, tanh, sech, arcsinh, pow1p
+    (pow1p takes the exponent through the alpha argument).  The coefficients
+    are written down directly rather than derived from exp_series, so the
+    natural check in theorems.verify stays independent of the closed forms.
+    """
+    if name == "exp":
+        return UniSeries(N, 1, {(n, 0): Fraction(1, factorial(n))
+                                for n in range(N + 1)})
+    if name == "log1p":
+        return UniSeries(N, 1, {(n, 0): Fraction((-1) ** (n - 1), n)
+                                for n in range(1, N + 1)})
+    if name == "sinh":
+        return UniSeries(N, 1, {(n, 0): Fraction(1, factorial(n))
+                                for n in range(1, N + 1, 2)})
+    if name == "cosh":
+        return UniSeries(N, 1, {(n, 0): Fraction(1, factorial(n))
+                                for n in range(0, N + 1, 2)})
+    if name == "sech":
+        return uni_analytic("cosh", N).invert()
+    if name == "tanh":
+        return uni_analytic("sinh", N).mul(uni_analytic("cosh", N).invert())
+    if name == "arcsinh":
+        return plethystic_inverse(uni_analytic("sinh", N))
+    if name == "pow1p":
+        if alpha is None:
+            raise SeriesError("pow1p needs the exponent alpha")
+        alpha = Fraction(alpha)
+        coeffs = {}
+        c = Fraction(1)
+        for n in range(N + 1):
+            if c != 0:
+                coeffs[(n, 0)] = c
+            c = c * (alpha - n) / (n + 1)
+        return UniSeries(N, 1, coeffs)
+    raise SeriesError("unknown analytic series %r" % name)

@@ -18,9 +18,10 @@ them and wrap them with GradedSeries._trusted, which does not check again.
 Operations never extend the truncation degree: combining two series
 truncates to the smaller N, and t denominators are refined to the lcm.
 
-The univariate counterpart UniSeries (variable x, same t bookkeeping) is
-what the natural specialization p_1(identity) -> x, other p_i(c) -> 0
-produces; the standard Maclaurin series live in uni_analytic().
+One-variable series are GradedSeries over the one-element group in the
+single variable x = p_1 (UniSeries and uni_* build them).  The natural
+specialization p_1(identity) -> x, other p_i(c) -> 0 produces them; the
+standard Maclaurin series live in plethysm.uni_analytic().
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, cyclic_group
 
 Var = tuple[int, int]                      # (cycle length i, class id)
 Mono = tuple[tuple[Var, int], ...]         # sorted ((i, c), exponent)
@@ -490,273 +491,53 @@ def mod_filter(f: GradedSeries, residue: int, d: int, mode: str = "equal") -> Gr
     return GradedSeries(f.group, f.trunc, f.t_den, keep)
 
 
-# -- univariate series ---------------------------------------------------------
+# -- one-variable series --------------------------------------------------------
+#
+# A one-variable series is a GradedSeries over the one-element group in the
+# single variable x = p_1, with the same t bookkeeping.  For f in p_1 alone the
+# plethysm plethysm.compose(f, g) is ordinary substitution of g for x.
 
-class UniSeries:
-    """Truncated series in x with t bookkeeping identical to GradedSeries.
-
-    coeffs: {(n, t_num): Fraction} for the term x^n t^(t_num/t_den).
-    """
-
-    __slots__ = ("trunc", "t_den", "coeffs")
-
-    def __init__(self, trunc: int, t_den: int = 1, coeffs: Optional[dict] = None):
-        if trunc < 0:
-            raise SeriesError("truncation degree must be >= 0")
-        self.trunc = trunc
-        self.t_den = t_den
-        clean: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for (n, t), c in coeffs.items():
-                if c == 0 or n > trunc:
-                    continue
-                clean[(n, t)] = Fraction(c)
-        self.coeffs = clean
-
-    def coefficient(self, n: int, t_num: int = 0, t_den: int = 1) -> Fraction:
-        if self.t_den % t_den == 0:
-            return self.coeffs.get((n, t_num * (self.t_den // t_den)), Fraction(0))
-        scaled = Fraction(t_num, t_den) * self.t_den
-        if scaled.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get((n, int(scaled)), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def truncate(self, n: int) -> "UniSeries":
-        return UniSeries(min(self.trunc, n), self.t_den,
-                         {k: c for k, c in self.coeffs.items() if k[0] <= n})
-
-    def with_t_den(self, t_den: int) -> "UniSeries":
-        if t_den == self.t_den:
-            return self
-        if t_den % self.t_den != 0:
-            raise SeriesError("cannot coarsen t denominator %d to %d" % (self.t_den, t_den))
-        f = t_den // self.t_den
-        return UniSeries(self.trunc, t_den,
-                         {(n, t * f): c for (n, t), c in self.coeffs.items()})
-
-    def _align(self, other: "UniSeries"):
-        den = lcm(self.t_den, other.t_den)
-        return self.with_t_den(den), other.with_t_den(den), min(self.trunc, other.trunc)
-
-    def add(self, other: "UniSeries") -> "UniSeries":
-        a, b, n = self._align(other)
-        acc = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return UniSeries(n, a.t_den, acc)
-
-    def neg(self) -> "UniSeries":
-        return UniSeries(self.trunc, self.t_den, {k: -c for k, c in self.coeffs.items()})
-
-    def sub(self, other: "UniSeries") -> "UniSeries":
-        return self.add(other.neg())
-
-    def scale(self, q) -> "UniSeries":
-        q = Fraction(q)
-        return UniSeries(self.trunc, self.t_den, {k: c * q for k, c in self.coeffs.items()})
-
-    def mul(self, other: "UniSeries") -> "UniSeries":
-        a, b, n = self._align(other)
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (na, ta), ca in a.coeffs.items():
-            for (nb, tb), cb in b.coeffs.items():
-                if na + nb > n:
-                    continue
-                k = (na + nb, ta + tb)
-                acc[k] = acc.get(k, Fraction(0)) + ca * cb
-        return UniSeries(n, a.t_den, acc)
-
-    def invert(self) -> "UniSeries":
-        c0 = self.coeffs.get((0, 0))
-        if c0 is None or any(n == 0 for (n, t) in self.coeffs if t != 0):
-            raise NotInvertibleError(
-                "degree-0 part must be a single nonzero t-free scalar to invert")
-        n = self.trunc
-        inv: dict[tuple[int, int], Fraction] = {(0, 0): 1 / c0}
-        for m in range(1, n + 1):
-            # sum over k >= 1 of f_k * g_{m-k}
-            acc: dict[int, Fraction] = {}
-            for (k, tf), cf in self.coeffs.items():
-                if k < 1 or k > m:
-                    continue
-                for (j, tg), cg in inv.items():
-                    if j == m - k:
-                        acc[tf + tg] = acc.get(tf + tg, Fraction(0)) + cf * cg
-            for t, c in acc.items():
-                if c != 0:
-                    inv[(m, t)] = -c / c0
-        return UniSeries(n, self.t_den, inv)
-
-    def compose(self, other: "UniSeries") -> "UniSeries":
-        """self(other); other must be t-free with zero constant term."""
-        if other.t_den != 1 or any(t != 0 for (_n, t) in other.coeffs):
-            raise SeriesError("composition argument must be t-free")
-        if other.coefficient(0) != 0:
-            raise SeriesError("composition argument must have zero constant term")
-        n = min(self.trunc, other.trunc)
-        g = other.truncate(n)
-        powers = [uni_one(n)]
-        acc: dict[tuple[int, int], Fraction] = {}
-        max_n = max((k for (k, _t) in self.coeffs), default=0)
-        for k in range(1, min(max_n, n) + 1):
-            powers.append(powers[-1].mul(g))
-        for (k, t), c in self.coeffs.items():
-            if k > n:
-                continue
-            for (j, _zero_t), cj in powers[k].coeffs.items():
-                key = (j, t)
-                acc[key] = acc.get(key, Fraction(0)) + c * cj
-        return UniSeries(n, self.t_den, acc)
-
-    def scale_t(self, num: int, den: int = 1) -> "UniSeries":
-        t_den = lcm(self.t_den, den)
-        f_self = t_den // self.t_den
-        f_new = t_den // den
-        return UniSeries(self.trunc, t_den,
-                         {(n, t * f_self + num * f_new): c
-                          for (n, t), c in self.coeffs.items()})
-
-    def substitute_t(self, s) -> "UniSeries":
-        """Set t^(1/t_den) to the rational s."""
-        s = Fraction(s)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (n, t), c in self.coeffs.items():
-            k = (n, 0)
-            out[k] = out.get(k, Fraction(0)) + c * s ** t
-        return UniSeries(self.trunc, 1, out)
-
-    def substitute_x(self, r) -> "UniSeries":
-        """Replace x by r*x for a rational r."""
-        r = Fraction(r)
-        return UniSeries(self.trunc, self.t_den,
-                         {(n, t): c * r ** n for (n, t), c in self.coeffs.items()})
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.neg()
-
-    def __mul__(self, other):
-        if isinstance(other, UniSeries):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        if self.trunc != other.trunc:
-            return False
-        den = lcm(self.t_den, other.t_den)
-        return self.with_t_den(den).coeffs == other.with_t_den(den).coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "UniSeries(N=%d, %d terms)" % (self.trunc, len(self.coeffs))
+_TRIVIAL = cyclic_group(1)
 
 
-def uni_zero(N: int, t_den: int = 1) -> UniSeries:
-    return UniSeries(N, t_den, {})
-
-def uni_one(N: int, t_den: int = 1) -> UniSeries:
-    return UniSeries(N, t_den, {(0, 0): Fraction(1)})
-
-def uni_const(N: int, q, t_den: int = 1) -> UniSeries:
-    return UniSeries(N, t_den, {(0, 0): Fraction(q)})
-
-def uni_x(N: int, t_den: int = 1) -> UniSeries:
-    return UniSeries(N, t_den, {(1, 0): Fraction(1)})
+def _x_power(n: int) -> Mono:
+    return (((1, 0), n),) if n else ONE_MONO
 
 
-def uni_reversion(f: UniSeries) -> UniSeries:
-    """Compositional inverse of a t-free series with f = x + higher order."""
-    if f.coefficient(0) != 0 or f.coefficient(1) != 1:
-        raise SeriesError("reversion needs zero constant term and linear coefficient 1")
-    N = f.trunc
-    g = uni_x(N)
-    for n in range(2, N + 1):
-        defect = f.compose(g).coefficient(n)
-        if defect != 0:
-            g = g.add(UniSeries(N, 1, {(n, 0): -defect}))
-    return g
+def UniSeries(trunc: int, t_den: int = 1,
+              coeffs: Optional[dict] = None) -> GradedSeries:
+    """The series sum of c x^n t^(t_num/t_den) over coeffs {(n, t_num): c}."""
+    return GradedSeries(_TRIVIAL, trunc, t_den,
+                        {(_x_power(n), t): c
+                         for (n, t), c in (coeffs or {}).items()})
 
 
-def uni_analytic(name: str, N: int, alpha=None) -> UniSeries:
-    """Maclaurin series with exact rational coefficients.
+def uni_zero(N: int, t_den: int = 1) -> GradedSeries:
+    return zero(_TRIVIAL, N, t_den)
 
-    Supported names: exp, log1p, sinh, cosh, tanh, sech, arcsinh, pow1p
-    (pow1p takes the exponent through the alpha argument).
-    """
-    from math import factorial
-    if name == "exp":
-        return UniSeries(N, 1, {(n, 0): Fraction(1, factorial(n)) for n in range(N + 1)})
-    if name == "log1p":
-        return UniSeries(N, 1, {(n, 0): Fraction((-1) ** (n - 1), n)
-                                for n in range(1, N + 1)})
-    if name == "sinh":
-        return UniSeries(N, 1, {(n, 0): Fraction(1, factorial(n))
-                                for n in range(1, N + 1, 2)})
-    if name == "cosh":
-        return UniSeries(N, 1, {(n, 0): Fraction(1, factorial(n))
-                                for n in range(0, N + 1, 2)})
-    if name == "sech":
-        return uni_analytic("cosh", N).invert()
-    if name == "tanh":
-        return uni_analytic("sinh", N).mul(uni_analytic("cosh", N).invert())
-    if name == "arcsinh":
-        return uni_reversion(uni_analytic("sinh", N))
-    if name == "pow1p":
-        if alpha is None:
-            raise SeriesError("pow1p needs the exponent alpha")
-        alpha = Fraction(alpha)
-        coeffs = {}
-        c = Fraction(1)
-        for n in range(N + 1):
-            if c != 0:
-                coeffs[(n, 0)] = c
-            c = c * (alpha - n) / (n + 1)
-        return UniSeries(N, 1, coeffs)
-    raise SeriesError("unknown analytic series %r" % name)
+def uni_one(N: int, t_den: int = 1) -> GradedSeries:
+    return one(_TRIVIAL, N, t_den)
+
+def uni_const(N: int, q, t_den: int = 1) -> GradedSeries:
+    return const(_TRIVIAL, N, q, t_den)
+
+def uni_x(N: int, t_den: int = 1) -> GradedSeries:
+    return p(_TRIVIAL, N, 1, 0, t_den)
 
 
-def uni_pow1p_of(f: UniSeries, alpha) -> UniSeries:
-    """(1 + f)^alpha for a series f with zero constant term (t in f allowed)."""
-    if f.coefficient(0) != 0 or any(n == 0 for (n, t) in f.coeffs):
-        raise SeriesError("pow1p argument must have no degree-0 terms")
-    alpha = Fraction(alpha)
-    acc = uni_one(f.trunc, f.t_den)
-    term = acc
-    for k in range(1, f.trunc + 1):
-        term = term.mul(f).scale((alpha - (k - 1)) / k)
-        if term.is_zero():
-            break
-        acc = acc.add(term)
-    return acc
+uni_pow1p_of = pow1p_of
 
 
-def natural_spec(f: GradedSeries) -> UniSeries:
+def natural_spec(f: GradedSeries) -> GradedSeries:
     """Set p_1(identity class) to x and every other variable to 0; t rides along."""
     ident = (1, f.group.identity_class)
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[Mono, int], Fraction] = {}
     for (mono, t), c in f.terms.items():
         if mono == ONE_MONO:
-            key = (0, t)
+            out[(ONE_MONO, t)] = c
         elif len(mono) == 1 and mono[0][0] == ident:
-            key = (mono[0][1], t)
-        else:
-            continue
-        out[key] = out.get(key, Fraction(0)) + c
-    return UniSeries(f.trunc, f.t_den, out)
+            out[(_x_power(mono[0][1]), t)] = c
+    return GradedSeries._trusted(_TRIVIAL, f.trunc, f.t_den, out)
 
 
 # -- serialization --------------------------------------------------------------

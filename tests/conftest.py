@@ -93,6 +93,11 @@ def bell_number(n):
 # -- series oracles -----------------------------------------------------------
 
 
+def xpow(n):
+    """The monomial x^n of a one-variable series, x = p_1 over the trivial group."""
+    return (((1, 0), n),) if n else ONE_MONO
+
+
 def oracle_compose(f, g):
     """Plethysm f o g, one term of f at a time, through public ring operations."""
     left_mode = f.group.order == 1

@@ -210,17 +210,18 @@ def test_criterion_09_one_variable_specializations():
                 uni_analytic("pow1p", N, Fraction(-1, o))
             arc = uni_analytic("arcsinh", N).scale(Fraction(1, o))
             assert natural_spec(closed_form("one_mod_d", G, N, 2)) == \
-                uni_analytic("sech", N).compose(arc) - \
-                uni_analytic("tanh", N).compose(arc)
+                compose(uni_analytic("sech", N), arc) - \
+                compose(uni_analytic("tanh", N), arc)
             assert natural_spec(closed_form("zero_mod_d", G, N, 2)) == \
-                uni_one(N) - uni_analytic("pow1p", N, Fraction(1, o)) \
-                .compose(uni_analytic("tanh", N))
+                uni_one(N) - compose(uni_analytic("pow1p", N, Fraction(1, o)),
+                                     uni_analytic("tanh", N))
         signed = natural_spec(closed_form("bn_whitney", C2, N))
         for s in (Fraction(1), Fraction(2), Fraction(1, 2)):
-            u = uni_analytic("arcsinh", N).compose(uni_x(N).scale(s))
-            expected = (uni_analytic("sech", N).compose(u.scale(Fraction(1, 2)))
-                        * uni_analytic("exp", N)
-                        .compose(u.scale(Fraction(1, 2) / s)))
+            u = compose(uni_analytic("arcsinh", N), uni_x(N).scale(s))
+            expected = (compose(uni_analytic("sech", N),
+                                u.scale(Fraction(1, 2)))
+                        * compose(uni_analytic("exp", N),
+                                  u.scale(Fraction(1, 2) / s)))
             assert signed.substitute_t(s) == expected, s
 
 

@@ -1,17 +1,18 @@
-"""Graded and univariate series arithmetic, filters, and serialization."""
+"""Graded and one-variable series arithmetic, filters, and serialization."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import xpow
 from wreathcalc.groups import cyclic_group, symmetric_group
+from wreathcalc.plethysm import compose, uni_analytic, uni_reversion
 from wreathcalc.series import (
     GradedSeries, NotInvertibleError, SeriesError, UniSeries,
     eq_to_degree, exp_of, exp_series, format_series, l_series, log1p_of,
     mod_filter, moebius_mu, mono_degree, natural_spec, one, p, pow1p_of,
-    series_terms, t_monomial, uni_analytic, uni_one, uni_pow1p_of,
-    uni_reversion, uni_x, zero,
+    series_terms, t_monomial, uni_one, uni_pow1p_of, uni_x, zero,
 )
 
 C1 = cyclic_group(1)
@@ -254,7 +255,7 @@ def test_p_derivative():
     assert d2.coefficient(()) == 1
 
 
-# -- univariate ----------------------------------------------------------------
+# -- one variable ----------------------------------------------------------------
 
 
 def test_uni_ring_randomized():
@@ -275,7 +276,7 @@ def test_uni_invert():
     f = uni_one(5) + uni_x(5)
     inv = f.invert()
     for n in range(6):
-        assert inv.coefficient(n) == (-1) ** n
+        assert inv.coefficient(xpow(n)) == (-1) ** n
     assert f * inv == uni_one(5)
     with pytest.raises(NotInvertibleError):
         uni_x(4).invert()
@@ -283,21 +284,23 @@ def test_uni_invert():
 
 def test_uni_analytic_oracles():
     e = uni_analytic("exp", 5)
-    assert e.coefficient(3) == Fraction(1, 6)
+    assert e.coefficient(xpow(3)) == Fraction(1, 6)
     s = uni_analytic("sinh", 7)
-    assert s.coefficient(1) == 1 and s.coefficient(5) == Fraction(1, 120)
-    assert s.coefficient(2) == 0
+    assert s.coefficient(xpow(1)) == 1
+    assert s.coefficient(xpow(5)) == Fraction(1, 120)
+    assert s.coefficient(xpow(2)) == 0
     c = uni_analytic("cosh", 6)
-    assert c.coefficient(0) == 1 and c.coefficient(6) == Fraction(1, 720)
+    assert c.coefficient(xpow(0)) == 1
+    assert c.coefficient(xpow(6)) == Fraction(1, 720)
     t = uni_analytic("tanh", 7)
-    assert t.coefficient(1) == 1
-    assert t.coefficient(3) == Fraction(-1, 3)
-    assert t.coefficient(5) == Fraction(2, 15)
-    assert t.coefficient(7) == Fraction(-17, 315)
+    assert t.coefficient(xpow(1)) == 1
+    assert t.coefficient(xpow(3)) == Fraction(-1, 3)
+    assert t.coefficient(xpow(5)) == Fraction(2, 15)
+    assert t.coefficient(xpow(7)) == Fraction(-17, 315)
     h = uni_analytic("sech", 6)
-    assert h.coefficient(0) == 1
-    assert h.coefficient(2) == Fraction(-1, 2)
-    assert h.coefficient(4) == Fraction(5, 24)
+    assert h.coefficient(xpow(0)) == 1
+    assert h.coefficient(xpow(2)) == Fraction(-1, 2)
+    assert h.coefficient(xpow(4)) == Fraction(5, 24)
 
 
 def test_cosh_sinh_pythagorean():
@@ -314,32 +317,35 @@ def test_arcsinh_matches_binomial_formula():
     for k in range(5):
         expected = Fraction((-1) ** k * factorial(2 * k),
                             4 ** k * factorial(k) ** 2 * (2 * k + 1))
-        assert a.coefficient(2 * k + 1) == expected
-        assert a.coefficient(2 * k) == 0
+        assert a.coefficient(xpow(2 * k + 1)) == expected
+        assert a.coefficient(xpow(2 * k)) == 0
 
 
 def test_arcsinh_inverts_sinh_both_ways():
     N = 8
     s = uni_analytic("sinh", N)
     a = uni_analytic("arcsinh", N)
-    assert s.compose(a) == uni_x(N)
-    assert a.compose(s) == uni_x(N)
+    assert compose(s, a) == uni_x(N)
+    assert compose(a, s) == uni_x(N)
 
 
 def test_uni_reversion_rejects_bad_leading_terms():
     with pytest.raises(SeriesError):
         uni_reversion(uni_one(4))
-    with pytest.raises(SeriesError):
-        uni_reversion(uni_x(4).scale(2))
+    # a linear coefficient other than one is inverted, on both sides
+    half = uni_reversion(uni_x(4).scale(2))
+    assert half == uni_x(4).scale(Fraction(1, 2))
+    assert compose(uni_x(4).scale(2), half) == uni_x(4)
+    assert compose(half, uni_x(4).scale(2)) == uni_x(4)
 
 
 def test_pow1p_series():
     h = uni_analytic("pow1p", 4, alpha=Fraction(1, 2))
-    assert h.coefficient(0) == 1
-    assert h.coefficient(1) == Fraction(1, 2)
-    assert h.coefficient(2) == Fraction(-1, 8)
-    assert h.coefficient(3) == Fraction(1, 16)
-    assert h.coefficient(4) == Fraction(-5, 128)
+    assert h.coefficient(xpow(0)) == 1
+    assert h.coefficient(xpow(1)) == Fraction(1, 2)
+    assert h.coefficient(xpow(2)) == Fraction(-1, 8)
+    assert h.coefficient(xpow(3)) == Fraction(1, 16)
+    assert h.coefficient(xpow(4)) == Fraction(-5, 128)
     with pytest.raises(SeriesError):
         uni_analytic("pow1p", 4)
     with pytest.raises(SeriesError):
@@ -350,29 +356,31 @@ def test_uni_pow1p_of_with_t():
     # (1 + t x)^alpha keeps t glued to x
     f = uni_x(4).scale_t(1)
     g = uni_pow1p_of(f, Fraction(1, 2))
-    assert g.coefficient(2, 2, 1) == Fraction(-1, 8)
-    assert g.coefficient(2, 0, 1) == 0
+    assert g.coefficient(xpow(2), 2, 1) == Fraction(-1, 8)
+    assert g.coefficient(xpow(2), 0, 1) == 0
 
 
-def test_uni_compose_requires_t_free_argument():
+def test_uni_compose_takes_t_but_not_a_constant_term():
     f = uni_analytic("exp", 4)
+    # x o t^q = t^q, so exp o (t x) is exp(t x)
+    h = compose(f, uni_x(4).scale_t(1))
+    assert h.coefficient(xpow(2), 2) == Fraction(1, 2)
+    assert h.coefficient(xpow(2)) == 0
     with pytest.raises(SeriesError):
-        f.compose(uni_x(4).scale_t(1))
-    with pytest.raises(SeriesError):
-        f.compose(uni_one(4))
+        compose(f, uni_one(4))
 
 
 def test_uni_compose_t_coefficients_ride_along():
     f = uni_x(5).scale_t(1) + uni_x(5)  # (1 + t) x
     g = uni_x(5).scale(2)
-    h = f.compose(g)
-    assert h.coefficient(1, 0, 1) == 2
-    assert h.coefficient(1, 1, 1) == 2
+    h = compose(f, g)
+    assert h.coefficient(xpow(1), 0, 1) == 2
+    assert h.coefficient(xpow(1), 1, 1) == 2
 
 
 def test_substitute_x():
-    f = uni_analytic("exp", 4).substitute_x(Fraction(1, 2))
-    assert f.coefficient(2) == Fraction(1, 8)
+    f = compose(uni_analytic("exp", 4), uni_x(4).scale(Fraction(1, 2)))
+    assert f.coefficient(xpow(2)) == Fraction(1, 8)
 
 
 # -- natural specialization ------------------------------------------------------
@@ -390,16 +398,17 @@ def test_natural_spec_is_ring_homomorphism():
 def test_natural_spec_kills_other_variables():
     f = p(C2, 4, 1, 0) + p(C2, 4, 1, 1) + p(C2, 4, 2, 0) + one(C2, 4)
     u = natural_spec(f)
-    assert u.coefficient(0) == 1
-    assert u.coefficient(1) == 1
-    assert u.coefficient(2) == 0
+    assert u.coefficient(xpow(0)) == 1
+    assert u.coefficient(xpow(1)) == 1
+    assert u.coefficient(xpow(2)) == 0
 
 
 def test_natural_spec_of_exp_series():
     # Exp_G specializes to exp(x / |G|)
     for G in (C1, C2, S3):
         u = natural_spec(exp_series(G, 5))
-        expected = uni_analytic("exp", 5).substitute_x(Fraction(1, G.order))
+        expected = compose(uni_analytic("exp", 5),
+                           uni_x(5).scale(Fraction(1, G.order)))
         assert u == expected
 
 

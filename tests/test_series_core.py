@@ -17,7 +17,8 @@ from conftest import (assert_clean, oracle_compose, oracle_exp,
 from wreathcalc.groups import cyclic_group, symmetric_group
 from wreathcalc.plethysm import _exp_compose_inverse, compose, exp_compose
 from wreathcalc.series import (GradedSeries, exp_arg, exp_of, exp_series,
-                               l_series, log1p_of, one, pow1p_of)
+                               l_series, log1p_of, natural_spec, one, p,
+                               pow1p_of)
 
 C1 = cyclic_group(1)
 C2 = cyclic_group(2)
@@ -158,6 +159,19 @@ def test_law_compose_is_multiplicative(data):
     lhs = compose(f * g, h)
     assert_clean(lhs)
     assert lhs == compose(f, h) * compose(g, h)
+
+
+@LAWS
+@given(st.sampled_from((C2, S3)).flatmap(
+           lambda G: series(G, constant_free=False)),
+       series(C1, nterms=3), st.fractions(-3, 3, max_denominator=4))
+def test_law_natural_spec_commutes_with_compose(f, g, a):
+    # a t-graded tower in p_1(identity) keeps the shadow of f nonconstant
+    x = p(f.group, f.trunc, 1, f.group.identity_class)
+    f = f + pow1p_of(x.scale_t(1), a)
+    lhs = natural_spec(compose(f, g))
+    assert_clean(lhs)
+    assert lhs == compose(natural_spec(f), natural_spec(g))
 
 
 @LAWS

@@ -6,9 +6,10 @@ import pytest
 
 from wreathcalc import theorems
 from wreathcalc.groups import cyclic_group, group_from_table, symmetric_group
-from wreathcalc.plethysm import average_p1, compose, sech_series, tanh_series
+from wreathcalc.plethysm import (average_p1, compose, sech_series,
+                                 tanh_series, uni_analytic)
 from wreathcalc.series import (eq_to_degree, exp_series, l_series,
-                               natural_spec, one, p, uni_analytic, zero)
+                               natural_spec, one, p, zero)
 from wreathcalc.theorems import (BudgetError, THEOREM_IDS, UsageError,
                                  bn_dimension, bn_dimension_formula,
                                  brute_force_side, char_poly_product_formula,
@@ -232,6 +233,19 @@ def test_natural_form_availability():
     assert natural_form("one_mod_d", C2, 4, 3) is None
     assert natural_form("fibre_corollary", C2, 4) is None
     assert natural_form("stanley", C1, 5) == uni_analytic("log1p", 5)
+
+
+def test_one_variable_series_live_over_the_trivial_group():
+    import wreathcalc as wc
+    N = 4
+    x = wc.uni_x(N)
+    made = [wc.UniSeries(N, 2, {(1, 1): 1}), wc.uni_zero(N), wc.uni_one(N),
+            wc.uni_const(N, 3), x, wc.uni_analytic("tanh", N),
+            wc.uni_pow1p_of(x, Fraction(1, 2)), wc.uni_reversion(x.scale(2)),
+            natural_spec(exp_series(symmetric_group(3), N)),
+            natural_form("whitney_hanlon", C2, N, t_value=2)]
+    for f in made:
+        assert isinstance(f, wc.GradedSeries) and f.group.order == 1
 
 
 def test_corollary_checks_both_pass():
