@@ -15,6 +15,11 @@ nontrivial and is truncated to the smaller truncation degree.
 
 The right argument must have no degree-0 part; otherwise the substitution
 would need infinitely many terms of f per output degree.
+
+Each p_i is additive, so E o (-g) = 1/(E o g) for E = exp_series(G), the
+negative alphabet H[-X] = 1/H[X] (Macdonald, I.8).  If every degree of B is
+1 mod d, with or without a t-power attached, f's degree-k terms go to degrees
+k mod d: compose(mod_filter(f, j, d), B) = mod_filter(compose(f, B), j, d).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .groups import FiniteGroup, class_power
+from .groups import FiniteGroup, class_power, cyclic_group
 from .series import (
     GradedSeries, Mono, ONE_MONO, SeriesError, UniSeries, _mul_by_degree,
     exp_arg, exp_of, exp_series, mod_filter, mono_degree, one, p, pow1p_of,
@@ -112,12 +117,6 @@ def exp_compose(G: FiniteGroup, N: int, g: GradedSeries) -> GradedSeries:
     return exp_of(compose(exp_arg(G, N), g))
 
 
-def _exp_compose_inverse(G: FiniteGroup, N: int,
-                         g: GradedSeries) -> GradedSeries:
-    """1 / (exp_series(G, N) o g), computed as exp(-(exp_arg(G, N) o g))."""
-    return exp_of(compose(exp_arg(G, N), g).neg())
-
-
 def plethystic_inverse(f: GradedSeries) -> GradedSeries:
     """Compositional inverse of a t-free trivial-group series f = a*p_1 + higher.
 
@@ -131,6 +130,8 @@ def plethystic_inverse(f: GradedSeries) -> GradedSeries:
         raise SeriesError("plethystic inverse needs a series with no degree-0 part")
     N = f.trunc
     G = f.group
+    if N == 0:
+        return zero(G, 0)      # every constant-free series is zero here
     p1: Mono = (((1, 0), 1),)
     alpha = f.coefficient(p1)
     deg1 = f.homogeneous_part(1)
@@ -205,7 +206,13 @@ def arcsinh_series(trivial: FiniteGroup, N: int) -> GradedSeries:
     """Plethystic inverse of the odd-degree part of the trivial-group exp_series."""
     if trivial.order != 1:
         raise SeriesError("the arcsinh lift lives over the trivial group")
-    return plethystic_inverse(mod_filter(exp_series(trivial, N), 1, 2, "equal"))
+    return _mod_inverse(N, 2)
+
+
+def _mod_inverse(N: int, d: int) -> GradedSeries:
+    """Plethystic inverse of the degrees 1 mod d of the trivial-group exp_series."""
+    # every degree of the result is 1 mod d, as the mod-d filter rule needs
+    return plethystic_inverse(mod_filter(exp_series(cyclic_group(1), N), 1, d))
 
 
 def uni_analytic(name: str, N: int, alpha=None) -> GradedSeries:

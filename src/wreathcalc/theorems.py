@@ -19,9 +19,8 @@ from typing import Callable, Optional, Sequence
 
 from .dowling import build_family, count_family
 from .groups import FiniteGroup, cyclic_group
-from .plethysm import (_exp_compose_inverse, arcsinh_series, average_p1,
-                       compose, exp_compose, plethystic_inverse,
-                       product_form_inverse, sech_series, uni_analytic)
+from .plethysm import (_mod_inverse, average_p1, compose, exp_compose,
+                       product_form_inverse, uni_analytic)
 from .posets import (Poset, equivariant_char_poly, fixed_point_mobius,
                      lefschetz_top_trace, order_complex_homology)
 from .series import (GradedSeries, Mono, const, exp_series, l_series,
@@ -183,22 +182,26 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         return product_form_inverse(G, N)
     L = l_series(triv, N)
     if theorem == "hanlon":
-        return _exp_compose_inverse(G, N, L)
+        return exp_compose(G, N, L.neg())
     if theorem == "second":
         return one(G, N) - exp_compose(G, N, L)
     if theorem == "third":
-        return (one(G, N) + average_p1(G, N)) * _exp_compose_inverse(G, N, L)
-    E = exp_series(G, N)
+        return (one(G, N) + average_p1(G, N)) * exp_compose(G, N, L.neg())
     if theorem == "one_mod_d":
-        trunk = exp_series(triv, N)
-        inverse_arg = plethystic_inverse(mod_filter(trunk, 1, d))
-        e_zero = mod_filter(E, 0, d)
-        e_rest = mod_filter(E, 0, d, "not-equal")
-        outer = (one(G, N) - e_rest) * e_zero.invert()
-        return compose(outer, inverse_arg)
-    if theorem == "zero_mod_d":
-        trunk = mod_filter(exp_series(triv, N), 0, d) - one(triv, N)
-        return one(G, N) - E * _exp_compose_inverse(G, N, compose(L, trunk))
+        X = exp_compose(G, N, _mod_inverse(N, d))
+        x_zero = mod_filter(X, 0, d)
+        return (one(G, N) - X + x_zero) * x_zero.invert()
+    if theorem in ("zero_mod_d", "whitney_0modd"):
+        E = exp_series(G, N)
+        M = compose(L, mod_filter(exp_series(triv, N), 0, d) - one(triv, N))
+        if theorem == "zero_mod_d":
+            return one(G, N) - E * exp_compose(G, N, M.neg())
+        M = M.attach_t(1, d)
+        comb = zero(G, N)
+        for j in range(d):
+            comb = comb + mod_filter(E, j, d).attach_t(1, d).scale_t(d - j, d)
+        return (E + t_monomial(G, N, 1)
+                - comb * exp_compose(G, N, M.scale_t(-1) - M))
     if theorem == "whitney_hanlon":
         return _whitney_q_closed(G, N)
     if theorem == "whitney_R":
@@ -208,25 +211,12 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         lin = average_p1(G, N).scale_t(1)
         return (one(G, N) + lin) * _whitney_q_closed(G, N)
     if theorem == "whitney_1modd":
-        trunk = exp_series(triv, N)
-        A = plethystic_inverse(mod_filter(trunk, 1, d))
-        B = A.attach_t(1, d)
-        e_zero = mod_filter(E, 0, d)
-        head = zero(G, N)
+        B = _mod_inverse(N, d).attach_t(1, d)
+        X = exp_compose(G, N, B)
+        acc = exp_compose(G, N, B.scale_t(-1, d))
         for j in range(1, d):
-            piece = compose(mod_filter(E, j, d) * e_zero.invert(), B)
-            head = head - piece.scale_t(d - j, d)
-        tail = (compose(e_zero, B).invert()
-                * exp_compose(G, N, B.scale_t(-1, d)))
-        return head + tail
-    if theorem == "whitney_0modd":
-        trunk = mod_filter(exp_series(triv, N), 0, d) - one(triv, N)
-        M = compose(L, trunk).attach_t(1, d)
-        inner = M.scale_t(-1) - M
-        comb = zero(G, N)
-        for j in range(d):
-            comb = comb + mod_filter(E, j, d).attach_t(1, d).scale_t(d - j, d)
-        return E + t_monomial(G, N, 1) - comb * exp_compose(G, N, inner)
+            acc = acc - mod_filter(X, j, d).scale_t(d - j, d)
+        return acc * mod_filter(X, 0, d).invert()
     if theorem == "bn_whitney":
         return _bn_closed(G, N)
     if theorem == "dn_series":
@@ -245,8 +235,8 @@ def _whitney_q_closed(G: FiniteGroup, N: int) -> GradedSeries:
 
 
 def _bn_closed(G: FiniteGroup, N: int) -> GradedSeries:
-    B = arcsinh_series(_trivial(), N).attach_t(1, 2)
-    return (compose(sech_series(G, N), B)
+    B = _mod_inverse(N, 2).attach_t(1, 2)
+    return (mod_filter(exp_compose(G, N, B), 0, 2).invert()
             * exp_compose(G, N, B.scale_t(-1, 2)))
 
 
@@ -337,7 +327,7 @@ def brute_force_side(theorem: str, G: FiniteGroup, n: int,
             return exp_series(G, 2).homogeneous_part(2)
         return None
     if theorem == "product_form_F":
-        return _exp_compose_inverse(G, n, l_series(_trivial(), n)) \
+        return exp_compose(G, n, l_series(_trivial(), n).neg()) \
             .homogeneous_part(n)
     if theorem == "fibre_corollary":
         full_q = _statement_sum("hanlon", G, n, None, force)

@@ -10,16 +10,22 @@ the listed chains, and rank by elimination over Fraction entries.  The
 Dowling oracles are the ones it used before it worked on masks: relation
 masks by a pairwise test of payloads level by level, fixed elements read
 off the permutation from action_of, and fixed-point traces and
-characteristic polynomials on the materialized fixed subposet.
+characteristic polynomials on the materialized fixed subposet.  The
+closed-form oracles are the mod-d closed sides as written before they
+applied the group exponential E = exp_series(G) only through exp_compose:
+generic plethysm of mod_filter(E, j, d) / mod_filter(E, 0, d), of
+sech_series and of the dense E itself.
 """
 
 import itertools
 from fractions import Fraction
 
-from wreathcalc.groups import class_power, group_from_table
+from wreathcalc.groups import class_power, cyclic_group, group_from_table
+from wreathcalc.plethysm import (arcsinh_series, compose, plethystic_inverse,
+                                 sech_series)
 from wreathcalc.posets import Poset, PosetError, _iter_bits
 from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, const,
-                               mono_degree, one, zero)
+                               exp_series, mod_filter, mono_degree, one, zero)
 
 
 def chain_poset(n):
@@ -180,6 +186,39 @@ def oracle_invert(f):
     for part in parts:
         acc = acc.add(part)
     return acc
+
+
+def _oracle_mod_inverse(N, d):
+    return plethystic_inverse(mod_filter(exp_series(cyclic_group(1), N), 1, d))
+
+
+def oracle_one_mod_d(G, N, d):
+    """(1 - E_rest) / E_0 composed with the inverse of the trivial E_1."""
+    E = exp_series(G, N)
+    e_zero = mod_filter(E, 0, d)
+    e_rest = mod_filter(E, 0, d, "not-equal")
+    outer = (one(G, N) - e_rest) * e_zero.invert()
+    return compose(outer, _oracle_mod_inverse(N, d))
+
+
+def oracle_whitney_1modd(G, N, d):
+    """Each E_j / E_0 composed with B = t^(1/d) A_d on its own, plus the tail."""
+    E = exp_series(G, N)
+    B = _oracle_mod_inverse(N, d).attach_t(1, d)
+    e_zero = mod_filter(E, 0, d)
+    head = zero(G, N)
+    for j in range(1, d):
+        piece = compose(mod_filter(E, j, d) * e_zero.invert(), B)
+        head = head - piece.scale_t(d - j, d)
+    tail = compose(e_zero, B).invert() * compose(E, B.scale_t(-1, d))
+    return head + tail
+
+
+def oracle_bn_closed(G, N):
+    """sech_series composed with B = t^(1/2) arcsinh, times E o (B / t^(1/2))."""
+    B = arcsinh_series(cyclic_group(1), N).attach_t(1, 2)
+    return (compose(sech_series(G, N), B)
+            * compose(exp_series(G, N), B.scale_t(-1, 2)))
 
 
 def assert_clean(s):

@@ -106,6 +106,18 @@ def test_series_text_and_csv(capsys):
     assert len(rows) == 2
 
 
+def test_series_at_degree_zero_is_the_constant_one(capsys):
+    for theorem, group in (("one_mod_d", "c3"), ("whitney_1modd", "s3"),
+                           ("bn_whitney", "c2"), ("dn_series", "c2")):
+        code, out, err = run_cli(
+            ["series", "--theorem", theorem, "--group", group, "--degree",
+             "0", "--format", "csv"], capsys)
+        assert code == 0, err
+        (num, den, t_num, _t_den, variables), = (
+            row.split(",") for row in out.splitlines()[1:])
+        assert (num, den, t_num, variables) == ("1", "1", "0", "")
+
+
 def test_series_json_terms_sorted(capsys):
     code, out, _ = run_cli(
         ["series", "--theorem", "hanlon", "--group", "c2", "--degree", "2",

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (assert_clean, oracle_compose, oracle_exp,
                       oracle_invert, oracle_log1p, oracle_pow1p)
 from wreathcalc.groups import cyclic_group, symmetric_group
-from wreathcalc.plethysm import _exp_compose_inverse, compose, exp_compose
+from wreathcalc.plethysm import _mod_inverse, compose, exp_compose
 from wreathcalc.series import (GradedSeries, exp_arg, exp_of, exp_series,
-                               l_series, log1p_of, natural_spec, one, p,
-                               pow1p_of)
+                               l_series, log1p_of, mod_filter, mono_degree,
+                               natural_spec, one, p, pow1p_of)
 
 C1 = cyclic_group(1)
 C2 = cyclic_group(2)
@@ -116,9 +116,45 @@ def test_exp_compose_inverse_matches_inverting_it():
         N = 6
         for g in (l_series(C1, N), l_series(C1, N).attach_t(1, 2),
                   random_series(C1, N, rng, 3, nterms=3)):
-            got = _exp_compose_inverse(G, N, g)
+            got = exp_compose(G, N, g.neg())
             assert_clean(got)
             assert got == exp_compose(G, N, g).invert()
+
+
+def residue_one_series(N, d, rng, t_den=1):
+    """A random trivial-group series whose degrees are all 1 mod d."""
+    g = random_series(C1, N, rng, t_den, nterms=8)
+    g = mod_filter(g, 1, d)
+    return g + p(C1, N, 1, 0, t_den)
+
+
+def test_compose_commutes_with_mod_filter_when_degrees_are_one_mod_d():
+    rng = random.Random(13)
+    for G in GROUPS:
+        N = 6
+        for d in (2, 3):
+            E = exp_series(G, N)
+            for B in (_mod_inverse(N, d), _mod_inverse(N, d).attach_t(1, d),
+                      residue_one_series(N, d, rng),
+                      residue_one_series(N, d, rng, 2).attach_t(1, d)):
+                assert all(mono_degree(m) % d == 1 for m, _t in B.terms)
+                f = random_series(G, N, rng, 2, nterms=6,
+                                  constant_free=False)
+                for h in (E, f):
+                    whole = compose(h, B)
+                    for j in range(d):
+                        assert (compose(mod_filter(h, j, d), B)
+                                == mod_filter(whole, j, d)), (G.order, d, j)
+
+
+def test_compose_and_mod_filter_differ_once_a_degree_is_not_one_mod_d():
+    # a degree-2 term at d = 2 moves degree-1 terms of E into even degrees
+    for G in (C1, C2, S3):
+        N = 4
+        B = p(C1, N, 1, 0) + p(C1, N, 1, 0).power(2)
+        E = exp_series(G, N)
+        assert (compose(mod_filter(E, 1, 2), B)
+                != mod_filter(compose(E, B), 1, 2))
 
 
 def test_exp_series_is_exp_of_its_argument():

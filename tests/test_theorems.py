@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import (oracle_bn_closed, oracle_one_mod_d,
+                      oracle_whitney_1modd, relabeled)
 from wreathcalc import theorems
 from wreathcalc.groups import cyclic_group, group_from_table, symmetric_group
 from wreathcalc.plethysm import (average_p1, compose, sech_series,
@@ -24,6 +26,16 @@ from wreathcalc.wreath import (enumerate_class_types, trace_extract,
 C1 = cyclic_group(1)
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
+S3 = symmetric_group(3)
+
+
+def theorem_cases(G_default):
+    """(theorem, group, d) for every theorem, on the group it is stated over."""
+    for th in THEOREM_IDS:
+        G = {"stanley": C1, "bn_whitney": C2, "dn_series": C2}.get(
+            th, G_default)
+        for d in ((2, 3) if th in theorems._NEEDS_D else (None,)):
+            yield th, G, d
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +100,47 @@ def test_dn_closed_degree_two_is_plain_exponential_slice():
     f = closed_form("dn_series", C2, 2)
     assert f.homogeneous_part(2).truncate(2) == \
         exp_series(C2, 2).homogeneous_part(2)
+
+
+def test_mod_closed_forms_match_the_dense_composition_oracles():
+    groups = ((C1, 7), (C2, 7), (C3, 6), (S3, 5),
+              (relabeled(S3, [3, 5, 0, 1, 4, 2]), 4),
+              (relabeled(C3, [2, 0, 1]), 5))
+    for G, N in groups:
+        for d in (2, 3):
+            assert closed_form("one_mod_d", G, N, d) == \
+                oracle_one_mod_d(G, N, d), (G.names, N, d)
+            assert closed_form("whitney_1modd", G, N, d) == \
+                oracle_whitney_1modd(G, N, d), (G.names, N, d)
+    for N in range(8):
+        bn = oracle_bn_closed(C2, N)
+        assert closed_form("bn_whitney", C2, N) == bn
+        deg2 = exp_series(C2, N).homogeneous_part(2).scale_t(1)
+        assert closed_form("dn_series", C2, N) == (one(C2, N) + deg2) * bn
+
+
+def test_closed_forms_apply_no_dense_series_by_generic_plethysm(monkeypatch):
+    # the group exponential enters only through exp_compose; a direct
+    # compose call may only apply a trivial-group series
+    dense = []
+
+    def watch(f, g):
+        if f.group.order > 1:
+            dense.append(f.group.order)
+        return compose(f, g)
+
+    monkeypatch.setattr(theorems, "compose", watch)
+    for th, G, d in theorem_cases(S3):
+        closed_form(th, G, 6, d)
+    assert dense == []
+
+
+def test_degree_zero_is_the_truncation_of_higher_degrees():
+    for G_default in (C2, S3):
+        for th, G, d in theorem_cases(G_default):
+            assert verify(th, G, 0, d).ok, (th, G.order, d)
+            assert closed_form(th, G, 0, d) == \
+                closed_form(th, G, 3, d).truncate(0), (th, G.order, d)
 
 
 def test_product_form_closed_equals_inverse_route():
