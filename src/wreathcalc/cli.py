@@ -17,13 +17,14 @@ import json
 import sys
 from typing import Optional
 
-from .dowling import FAMILIES, FamilyError, build_family, count_family
+from .dowling import FAMILIES, FamilyError
 from .groups import (FiniteGroup, GroupTableError, class_power, cyclic_group,
                      read_table_text, symmetric_group)
 from .posets import PosetError, order_complex_homology
 from .series import SeriesError, format_series, series_terms
 from .theorems import (THEOREM_IDS, BudgetError, HOMOLOGY_ELEMENT_BUDGET,
-                       UsageError, closed_form, identity_char_poly, verify)
+                       UsageError, _acted_poset, closed_form,
+                       identity_char_poly, verify)
 
 _GROUP_NAMES = {
     "c1": lambda: cyclic_group(1),
@@ -145,8 +146,7 @@ def _cmd_poset(args, out) -> int:
     d = args.d
     if d is None and args.family in ("q1modd", "q0modd"):
         d = 2
-    fp = build_family(args.family, G, args.n, d)
-    P = fp.poset
+    P, _act = _acted_poset(args.family, G, args.n, d, args.force)
     payload: dict = {"family": args.family, "group": label, "n": args.n,
                      "d": d, "elements": P.n}
     lines = ["family %s  group %s  n %d%s  elements %d"

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -356,15 +355,19 @@ def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int,
 
 def build_family(family: str, G: FiniteGroup, n: int, d: Optional[int] = None,
                  validate: bool = False) -> FamilyPoset:
+    """The family poset, its relation set by masks; with validate, the
+    masks are checked against the pairwise order, itself checked to be a
+    partial order."""
     payloads = enumerate_family(family, G, n, d)
     if len(payloads) != count_family(family, G, n, d):
         raise FamilyError("enumeration disagrees with the counting recursion")
     Z, H = _element_masks(payloads, n)
+    poset = Poset.from_masks(payloads, _build_up_masks(payloads, G, n, (Z, H)))
     if validate:
-        poset = Poset(payloads, dowling_leq_factory(G, n), validate=True)
-    else:
-        poset = Poset.from_masks(payloads,
-                                 _build_up_masks(payloads, G, n, (Z, H)))
+        pairwise = Poset(payloads, dowling_leq_factory(G, n), validate=True)
+        if pairwise.up != poset.up:
+            raise FamilyError("relation masks disagree with the pairwise "
+                              "order")
     return FamilyPoset(family, G, n, d, poset,
                        {payload: i for i, payload in enumerate(payloads)}, H)
 

@@ -46,8 +46,7 @@ def _mask_of(indices: Iterable[int], size: int) -> int:
 class Poset:
     """A finite poset over payload elements, compared once at construction."""
 
-    __slots__ = ("payloads", "n", "up", "down", "_below", "_mobius_cache",
-                 "_ranks")
+    __slots__ = ("payloads", "n", "up", "down", "_below", "_ranks")
 
     def __init__(self, payloads: Sequence, leq: Callable, validate: bool = False):
         self.payloads = list(payloads)
@@ -62,7 +61,6 @@ class Poset:
         self.up = up
         self._below: Optional[list[list[int]]] = None
         self.down = self._transpose()
-        self._mobius_cache: dict[int, dict[int, int]] = {}
         self._ranks: Optional[list[int]] = None
         if validate:
             self._validate()
@@ -77,7 +75,6 @@ class Poset:
         self.up = list(up)
         self._below = None
         self.down = self._transpose() if down is None else list(down)
-        self._mobius_cache = {}
         self._ranks = None
         return self
 
@@ -195,10 +192,8 @@ class Poset:
         """mu(i, j) for every j >= i, by one sweep in a linear extension.
 
         With a mask within (holding i), the values are those of the subposet
-        on within; only the whole poset's values are cached.
+        on within.
         """
-        if within is None and i in self._mobius_cache:
-            return self._mobius_cache[i]
         above = self.up[i] if within is None else self.up[i] & within
         if not (above >> i) & 1:
             raise PosetError("the subposet does not hold element %d" % i)
@@ -209,10 +204,7 @@ class Poset:
         get = values.__getitem__
         for j in order[1:]:
             values[j] = -sum(map(get, below[j]))
-        mu = {j: values[j] for j in order}
-        if within is None:
-            self._mobius_cache[i] = mu
-        return mu
+        return {j: values[j] for j in order}
 
     def mobius(self, i: int, j: int) -> int:
         if not self.leq(i, j):

@@ -27,94 +27,84 @@ from .series import (GradedSeries, Mono, const, exp_series, l_series,
                      mod_filter, mono_degree, natural_spec, one, pow1p_of,
                      t_monomial, uni_const, uni_one, uni_x, zero)
 from .wreath import (WreathType, centralizer_order, enumerate_class_types,
-                     frobenius_ch, type_representative)
+                     type_representative)
 
-THEOREM_IDS = (
-    "stanley",
-    "hanlon",
-    "second",
-    "third",
-    "one_mod_d",
-    "zero_mod_d",
-    "fibre_corollary",
-    "qsim_corollary",
-    "whitney_hanlon",
-    "whitney_R",
-    "whitney_Qsim",
-    "whitney_1modd",
-    "whitney_0modd",
-    "bn_whitney",
-    "dn_series",
-    "product_form_F",
-)
 
-THEOREM_SUMMARIES = {
-    "stanley": "alternating partition-lattice homology sum equals the "
-               "logarithmic inverse series",
-    "hanlon": "alternating full-family homology sum equals the plethystic "
-              "inverse of the group exponential",
-    "second": "alternating restricted-family homology sum equals one minus "
-              "the composed group exponential",
-    "third": "alternating simple-family homology sum carries an extra "
-             "linear factor",
-    "one_mod_d": "blocks congruent to one mod d: alternating homology sum "
-                 "in closed plethystic form",
-    "zero_mod_d": "blocks congruent to zero mod d: alternating homology sum "
-                  "in closed plethystic form",
-    "fibre_corollary": "product of the full and restricted alternating sums "
-                       "telescopes to one",
-    "qsim_corollary": "simple-family sum factors through the full-family sum",
-    "whitney_hanlon": "t-graded Whitney characters of the full family in "
-                      "closed form",
-    "whitney_R": "t-graded Whitney characters of the restricted family",
-    "whitney_Qsim": "t-graded Whitney characters of the simple family",
-    "whitney_1modd": "t-graded Whitney characters, blocks one mod d",
-    "whitney_0modd": "t-graded Whitney characters, blocks zero mod d",
-    "bn_whitney": "t-graded Whitney characters of the signed-partition "
-                  "family for the order-two group",
-    "dn_series": "series variant of the signed-partition identity with a "
-                 "degree-two correction factor",
-    "product_form_F": "the inverse of the composed group exponential as an "
-                      "explicit infinite product",
+@dataclass(frozen=True)
+class _Statement:
+    """One identity: what its brute-force side sums, and where it applies."""
+
+    summary: str
+    deg0: int                        # degree-0 value of the poset side
+    family: Optional[str] = None     # poset family of the brute-force side
+    graded: bool = False             # t-graded: Whitney characters
+    # alternating sign (n, d) of the ungraded Moebius traces
+    sign: Optional[Callable[[int, Optional[int]], int]] = None
+    needs_d: bool = False            # takes the modulus d (default 2)
+    order: Optional[int] = None      # group order it is stated over, if fixed
+
+
+def _alternating(n: int, d: Optional[int]) -> int:
+    return (-1) ** n
+
+
+_STATEMENTS = {
+    "stanley": _Statement(
+        "alternating partition-lattice homology sum equals the logarithmic "
+        "inverse series", 0, "pi", sign=lambda n, d: (-1) ** (n - 1),
+        order=1),
+    "hanlon": _Statement(
+        "alternating full-family homology sum equals the plethystic inverse "
+        "of the group exponential", 1, "q", sign=_alternating),
+    "second": _Statement(
+        "alternating restricted-family homology sum equals one minus the "
+        "composed group exponential", 0, "r", sign=_alternating),
+    "third": _Statement(
+        "alternating simple-family homology sum carries an extra linear "
+        "factor", 1, "qsim", sign=_alternating),
+    "one_mod_d": _Statement(
+        "blocks congruent to one mod d: alternating homology sum in closed "
+        "plethystic form", 1, "q1modd",
+        sign=lambda n, d: (-1) ** ((n + d - 1) // d), needs_d=True),
+    "zero_mod_d": _Statement(
+        "blocks congruent to zero mod d: alternating homology sum in closed "
+        "plethystic form", 0, "q0modd",
+        sign=lambda n, d: (-1) ** (n // d + 1), needs_d=True),
+    "fibre_corollary": _Statement(
+        "product of the full and restricted alternating sums telescopes to "
+        "one", 1),
+    "qsim_corollary": _Statement(
+        "simple-family sum factors through the full-family sum", 0),
+    "whitney_hanlon": _Statement(
+        "t-graded Whitney characters of the full family in closed form", 1,
+        "q", graded=True),
+    "whitney_R": _Statement(
+        "t-graded Whitney characters of the restricted family", 0, "r",
+        graded=True),
+    "whitney_Qsim": _Statement(
+        "t-graded Whitney characters of the simple family", 1, "qsim",
+        graded=True),
+    "whitney_1modd": _Statement(
+        "t-graded Whitney characters, blocks one mod d", 1, "q1modd",
+        graded=True, needs_d=True),
+    "whitney_0modd": _Statement(
+        "t-graded Whitney characters, blocks zero mod d", 1, "q0modd",
+        graded=True, needs_d=True),
+    "bn_whitney": _Statement(
+        "t-graded Whitney characters of the signed-partition family for the "
+        "order-two group", 1, "bn", graded=True, order=2),
+    "dn_series": _Statement(
+        "series variant of the signed-partition identity with a degree-two "
+        "correction factor", 1, graded=True, order=2),
+    "product_form_F": _Statement(
+        "the inverse of the composed group exponential as an explicit "
+        "infinite product", 1),
 }
 
-# theorems whose brute-force side reads a poset family; value = (family, kind)
-_POSET_MODEL = {
-    "stanley": ("pi", "mobius"),
-    "hanlon": ("q", "mobius"),
-    "second": ("r", "mobius"),
-    "third": ("qsim", "mobius"),
-    "one_mod_d": ("q1modd", "mobius"),
-    "zero_mod_d": ("q0modd", "mobius"),
-    "whitney_hanlon": ("q", "charpoly"),
-    "whitney_R": ("r", "charpoly"),
-    "whitney_Qsim": ("qsim", "charpoly"),
-    "whitney_1modd": ("q1modd", "charpoly"),
-    "whitney_0modd": ("q0modd", "charpoly"),
-    "bn_whitney": ("bn", "charpoly"),
-}
-
-_NEEDS_D = {"one_mod_d", "zero_mod_d", "whitney_1modd", "whitney_0modd"}
-
-# degree-0 value of each statement's poset side
-_DEG0 = {
-    "stanley": 0,
-    "hanlon": 1,
-    "second": 0,
-    "third": 1,
-    "one_mod_d": 1,
-    "zero_mod_d": 0,
-    "fibre_corollary": 1,
-    "qsim_corollary": 0,
-    "whitney_hanlon": 1,
-    "whitney_R": 0,
-    "whitney_Qsim": 1,
-    "whitney_1modd": 1,
-    "whitney_0modd": 1,
-    "bn_whitney": 1,
-    "dn_series": 1,
-    "product_form_F": 1,
-}
+THEOREM_IDS = tuple(_STATEMENTS)
+THEOREM_SUMMARIES = {th: spec.summary for th, spec in _STATEMENTS.items()}
+_NEEDS_D = {th for th, spec in _STATEMENTS.items() if spec.needs_d}
+_STATED_OVER = {1: "the trivial group", 2: "the order-two group"}
 
 # default resource ceilings, overridable with force=True
 POSET_ELEMENT_BUDGET = 3000
@@ -142,27 +132,23 @@ def _trivial() -> FiniteGroup:
     return cyclic_group(1)
 
 
-def _require(theorem: str) -> None:
-    if theorem not in THEOREM_IDS:
+def _statement(theorem: str, G: FiniteGroup,
+               d: Optional[int]) -> tuple[_Statement, Optional[int]]:
+    """The theorem's record, checked against G, and its resolved d."""
+    spec = _STATEMENTS.get(theorem)
+    if spec is None:
         raise UsageError("unknown theorem %r; expected one of %s"
                          % (theorem, ", ".join(THEOREM_IDS)))
-
-
-def _check_group(theorem: str, G: FiniteGroup) -> None:
-    if theorem == "stanley" and G.order != 1:
-        raise UsageError("stanley is stated over the trivial group")
-    if theorem in ("bn_whitney", "dn_series") and G.order != 2:
-        raise UsageError("%s is stated over the order-two group" % theorem)
-
-
-def _resolve_d(theorem: str, d: Optional[int]) -> Optional[int]:
-    if theorem in _NEEDS_D:
-        if d is None:
-            return 2
-        if d < 2:
-            raise UsageError("d must be at least two")
-        return d
-    return None
+    if spec.order is not None and G.order != spec.order:
+        raise UsageError("%s is stated over %s"
+                         % (theorem, _STATED_OVER[spec.order]))
+    if not spec.needs_d:
+        return spec, None
+    if d is None:
+        return spec, 2
+    if d < 2:
+        raise UsageError("d must be at least two")
+    return spec, d
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +158,7 @@ def _resolve_d(theorem: str, d: Optional[int]) -> Optional[int]:
 def closed_form(theorem: str, G: FiniteGroup, N: int,
                 d: Optional[int] = None) -> GradedSeries:
     """The closed series side of the named identity, truncated at degree N."""
-    _require(theorem)
-    _check_group(theorem, G)
-    d = _resolve_d(theorem, d)
+    _spec, d = _statement(theorem, G, d)
     triv = _trivial()
     if theorem == "stanley":
         return l_series(G, N)
@@ -224,9 +208,7 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         return (one(G, N) + deg2.scale_t(1)) * _bn_closed(G, N)
     if theorem == "fibre_corollary":
         return one(G, N)
-    if theorem == "qsim_corollary":
-        return zero(G, N)
-    raise UsageError("unknown theorem %r" % theorem)
+    return zero(G, N)   # qsim_corollary
 
 
 def _whitney_q_closed(G: FiniteGroup, N: int) -> GradedSeries:
@@ -250,59 +232,42 @@ _POSET_CACHE_SIZE = 16
 _poset_cache: OrderedDict = OrderedDict()
 
 
-def _acted_poset(family: str, G: FiniteGroup, n: int,
-                 d: Optional[int]) -> tuple[Poset, Callable]:
+def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
+                 force: bool = False) -> tuple[Poset, Callable]:
     """Poset for the family plus a map from wreath elements to the bitmasks
-    of the elements they fix."""
-    key = (family, G.table, n, d)
-    hit = _poset_cache.get(key)
-    if hit is not None:
-        _poset_cache.move_to_end(key)
-        return hit
-    if family == "bn":
-        fp = build_family("q1modd", G, n, 2)
-        P = fp.poset
-        if n % 2 == 1:
-            # the canonical sort puts the top, the only element with the
-            # full i_mask, last; removing it leaves a prefix of the indices
-            last = P.n - 1
-            assert P.top() == last
-            prefix = (1 << last) - 1
-            hit = (P.subposet(range(last)),
-                   lambda w: fp.fixed_mask(w) & prefix)
-        else:
-            hit = (P, fp.fixed_mask)
-    else:
-        fp = build_family(family, G, n, d)
-        hit = (fp.poset, fp.fixed_mask)
-    _poset_cache[key] = hit
-    if len(_poset_cache) > _POSET_CACHE_SIZE:
-        _poset_cache.popitem(last=False)
-    return hit
+    of the elements they fix.
 
-
-def _statement_sign(theorem: str, n: int, d: Optional[int]) -> int:
-    if theorem == "stanley":
-        return (-1) ** (n - 1)
-    if theorem in ("hanlon", "second", "third"):
-        return (-1) ** n
-    if theorem == "one_mod_d":
-        return (-1) ** ((n + d - 1) // d)
-    if theorem == "zero_mod_d":
-        return (-1) ** (n // d + 1)
-    raise UsageError("no alternating sign for %r" % theorem)
-
-
-def _check_element_budget(family: str, G: FiniteGroup, n: int,
-                          d: Optional[int], force: bool) -> None:
-    fam = "q1modd" if family == "bn" else family
-    dd = 2 if family == "bn" else d
-    size = count_family(fam, G, n, dd)
+    bn is q1modd at d=2, less its top for odd n.  Families above
+    POSET_ELEMENT_BUDGET elements are refused, before anything is built,
+    unless forced.
+    """
+    built, d = ("q1modd", 2) if family == "bn" else (family, d)
+    size = count_family(built, G, n, d)
     if size > POSET_ELEMENT_BUDGET and not force:
         raise BudgetError(
             "family %s at n=%d has %d elements (budget %d); pass force to "
             "override" % (family, n, size, POSET_ELEMENT_BUDGET),
             estimate=size)
+    key = (family, G.table, n, d)
+    hit = _poset_cache.get(key)
+    if hit is not None:
+        _poset_cache.move_to_end(key)
+        return hit
+    fp = build_family(built, G, n, d)
+    P = fp.poset
+    if family == "bn" and n % 2 == 1:
+        # the canonical sort puts the top, the only element with the
+        # full i_mask, last; removing it leaves a prefix of the indices
+        last = P.n - 1
+        assert P.top() == last
+        prefix = (1 << last) - 1
+        hit = (P.subposet(range(last)), lambda w: fp.fixed_mask(w) & prefix)
+    else:
+        hit = (P, fp.fixed_mask)
+    _poset_cache[key] = hit
+    if len(_poset_cache) > _POSET_CACHE_SIZE:
+        _poset_cache.popitem(last=False)
+    return hit
 
 
 def brute_force_side(theorem: str, G: FiniteGroup, n: int,
@@ -313,13 +278,11 @@ def brute_force_side(theorem: str, G: FiniteGroup, n: int,
     Returns None when the statement has no finite model at this degree
     (the series-only identity beyond its declared low-degree terms).
     """
-    _require(theorem)
-    _check_group(theorem, G)
-    d = _resolve_d(theorem, d)
+    spec, d = _statement(theorem, G, d)
     if n < 0:
         raise UsageError("degree must be nonnegative")
     if n == 0:
-        return const(G, 0, _DEG0[theorem])
+        return const(G, 0, spec.deg0)
     if theorem == "dn_series":
         if n == 1:
             return average_p1(G, 1)
@@ -341,23 +304,18 @@ def brute_force_side(theorem: str, G: FiniteGroup, n: int,
         return (full_qs - factor * full_q).homogeneous_part(n)
     if theorem == "third" and n == 1:
         return zero(G, 1)
-    family, kind = _POSET_MODEL[theorem]
-    _check_element_budget(family, G, n, d, force)
-    P, act = _acted_poset(family, G, n, d)
-    if kind == "mobius":
-        sign = _statement_sign(theorem, n, d)
-
-        def phi(tau: WreathType) -> int:
-            w = type_representative(G, tau)
-            return sign * lefschetz_top_trace(P, act(w))
-
-        return frobenius_ch(G, n, phi)
+    P, act = _acted_poset(spec.family, G, n, d, force)
+    # graded: the rank-indexed fixed-point Moebius sums; ungraded: the signed
+    # top trace, in t-degree 0.  Either is divided by the centralizer order.
     terms: dict[tuple[Mono, int], Fraction] = {}
     for tau in enumerate_class_types(G, n):
-        w = type_representative(G, tau)
-        cp = equivariant_char_poly(P, act(w))
+        W = act(type_representative(G, tau))
+        if spec.graded:
+            values = equivariant_char_poly(P, W)
+        else:
+            values = {0: spec.sign(n, d) * lefschetz_top_trace(P, W)}
         z = centralizer_order(G, tau)
-        for r, v in cp.items():
+        for r, v in values.items():
             terms[(tau, r)] = Fraction(v, z)
     return GradedSeries(G, n, 1, terms)
 
@@ -365,7 +323,7 @@ def brute_force_side(theorem: str, G: FiniteGroup, n: int,
 def _statement_sum(theorem: str, G: FiniteGroup, n: int, d: Optional[int],
                    force: bool) -> GradedSeries:
     """Constant term plus all brute-force slices through degree n."""
-    total = const(G, n, _DEG0[theorem])
+    total = const(G, n, _STATEMENTS[theorem].deg0)
     for k in range(1, n + 1):
         piece = brute_force_side(theorem, G, k, d, force)
         total = total + GradedSeries(G, n, piece.t_den, dict(piece.terms))
@@ -385,13 +343,11 @@ def natural_form(theorem: str, G: FiniteGroup, N: int,
     t^(1/t_den).  Returns None when no one-variable form is on record
     (corollaries, and modular families at d other than two).
     """
-    _require(theorem)
-    _check_group(theorem, G)
-    d = _resolve_d(theorem, d)
+    spec, d = _statement(theorem, G, d)
     o = G.order
     if theorem in ("fibre_corollary", "qsim_corollary"):
         return None
-    if theorem in _NEEDS_D and d != 2:
+    if spec.needs_d and d != 2:
         return None
     if theorem == "stanley":
         return uni_analytic("log1p", N)
@@ -435,20 +391,14 @@ def natural_form(theorem: str, G: FiniteGroup, N: int,
         return (compose(uni_analytic("exp", N), x.scale(Fraction(1, o)))
                 + uni_const(N, s ** 2)
                 - (even.scale(s ** 2) + odd.scale(s)) * hull)
-    if theorem in ("bn_whitney", "dn_series"):
-        u = compose(uni_analytic("arcsinh", N), sx)
-        bn = (compose(uni_analytic("sech", N), u.scale(Fraction(1, 2)))
-              * compose(uni_analytic("exp", N), u.scale(1 / (2 * s))))
-        if theorem == "bn_whitney":
-            return bn
-        quad = uni_one(N) + x.mul(x).scale(s ** 2 / 8)
-        return quad * bn
-    raise UsageError("unknown theorem %r" % theorem)
-
-
-def _has_t(theorem: str) -> bool:
-    return theorem.startswith("whitney") or theorem in ("bn_whitney",
-                                                        "dn_series")
+    # bn_whitney and dn_series
+    u = compose(uni_analytic("arcsinh", N), sx)
+    bn = (compose(uni_analytic("sech", N), u.scale(Fraction(1, 2)))
+          * compose(uni_analytic("exp", N), u.scale(1 / (2 * s))))
+    if theorem == "bn_whitney":
+        return bn
+    quad = uni_one(N) + x.mul(x).scale(s ** 2 / 8)
+    return quad * bn
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +490,7 @@ def verify(theorem: str, G: FiniteGroup, n_max: int,
     record.  Degrees with no finite model are reported as skipped, never as
     passes.
     """
-    _require(theorem)
-    _check_group(theorem, G)
-    d = _resolve_d(theorem, d)
+    spec, d = _statement(theorem, G, d)
     if n_max < 0:
         raise UsageError("n_max must be nonnegative")
     if N is None:
@@ -585,7 +533,7 @@ def verify(theorem: str, G: FiniteGroup, n_max: int,
         report.natural_note = "no one-variable form on record"
     else:
         shadow = natural_spec(closed)
-        samples = _T_SAMPLES if _has_t(theorem) else _T_SAMPLES[:1]
+        samples = _T_SAMPLES if spec.graded else _T_SAMPLES[:1]
         bad = None
         for s in samples:
             if s != samples[0]:
@@ -597,7 +545,7 @@ def verify(theorem: str, G: FiniteGroup, n_max: int,
                 break
         if bad is None:
             report.natural_status = "ok"
-            if _has_t(theorem):
+            if spec.graded:
                 report.natural_note = ("checked at t-values "
                                        + ", ".join(str(s) for s in samples))
         else:
@@ -658,8 +606,7 @@ def bn_dimension_formula(n: int) -> int:
 def mobius_dimension(family: str, G: FiniteGroup, n: int,
                      d: Optional[int] = None, force: bool = False) -> int:
     """|mu(bottom, top)| of the family poset, built explicitly."""
-    _check_element_budget(family, G, n, d, force)
-    P, _act = _acted_poset(family, G, n, d)
+    P, _act = _acted_poset(family, G, n, d, force)
     return abs(P.mobius_bottom_top())
 
 
@@ -667,8 +614,7 @@ def bn_dimension(n: int, force: bool = False) -> int:
     """Top reduced Betti number of the signed-partition poset, from homology
     for odd n (no top element) and from the Mobius function for even n."""
     G = cyclic_group(2)
-    _check_element_budget("bn", G, n, 2, force)
-    P, _act = _acted_poset("bn", G, n, 2)
+    P, _act = _acted_poset("bn", G, n, 2, force)
     if n % 2 == 0:
         return abs(P.mobius_bottom_top())
     bottom = P.bottom()
@@ -684,9 +630,8 @@ def identity_char_poly(family: str, G: FiniteGroup, n: int,
                        d: Optional[int] = None,
                        force: bool = False) -> dict[int, int]:
     """Rank-indexed Mobius sums of the full poset (identity automorphism)."""
-    _check_element_budget(family, G, n, d, force)
-    P, _act = _acted_poset(family, G, n, d)
-    return equivariant_char_poly(P, list(range(P.n)))
+    P, _act = _acted_poset(family, G, n, d, force)
+    return equivariant_char_poly(P, (1 << P.n) - 1)
 
 
 def char_poly_product_formula(family: str, order: int, n: int) -> dict[int, int]:
@@ -752,8 +697,7 @@ def sundaram_balance(family: str, G: FiniteGroup, n: int,
     over the whole fixed subposet is zero for every automorphism; the
     returned list is empty exactly when that balance holds here.
     """
-    _check_element_budget(family, G, n, d, force)
-    P, act = _acted_poset(family, G, n, d)
+    P, act = _acted_poset(family, G, n, d, force)
     if P.n < 2:
         raise UsageError("balance check needs at least two elements")
     bad = []

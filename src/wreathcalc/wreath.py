@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .groups import FiniteGroup
 from .series import GradedSeries, Mono

@@ -233,3 +233,38 @@ def test_output_is_deterministic(capsys):
     first.pop("elapsed_seconds")
     second.pop("elapsed_seconds")
     assert first == second
+
+
+def test_poset_element_budget(capsys):
+    argv = ["poset", "--family", "q", "--group", "c2", "--n", "6",
+            "--emit", "mobius"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "4088 elements (budget 3000)" in err
+    code, out, _ = run_cli(argv + ["--force"], capsys)
+    assert code == 0
+    assert "elements 4088" in out
+
+
+def test_poset_charpoly_builds_the_family_once(monkeypatch, capsys):
+    from collections import OrderedDict
+
+    from wreathcalc import dowling, theorems
+    calls = []
+    original = dowling.build_family
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (dowling, theorems, cli):
+        if getattr(module, "build_family", None) is original:
+            monkeypatch.setattr(module, "build_family", counting)
+    monkeypatch.setattr(theorems, "_poset_cache", OrderedDict())
+    code, out, _ = run_cli(
+        ["poset", "--family", "q", "--group", "c3", "--n", "3",
+         "--emit", "mobius,charpoly"], capsys)
+    assert code == 0
+    assert "charpoly 0:1" in out
+    assert len(calls) == 1

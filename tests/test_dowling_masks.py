@@ -128,3 +128,18 @@ def test_masked_mobius_needs_its_start_in_the_mask():
     assert P.mobius_from(b, 1 << b | 1 << t) == {b: 1, t: -1}
     with pytest.raises(PosetError):
         P.mobius_from(b, 1 << t)
+
+
+def test_validate_rejects_a_corrupted_relation_mask(monkeypatch):
+    from wreathcalc import dowling
+    from wreathcalc.dowling import FamilyError
+
+    def corrupted(payloads, G, n, element_masks=None):
+        up = _build_up_masks(payloads, G, n, element_masks)
+        up[1] ^= 1 << 2   # one relation bit flipped
+        return up
+
+    monkeypatch.setattr(dowling, "_build_up_masks", corrupted)
+    build_family("q", C2, 2)   # unchecked without validate
+    with pytest.raises(FamilyError):
+        build_family("q", C2, 2, validate=True)

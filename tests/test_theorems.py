@@ -401,3 +401,84 @@ def test_verify_symmetric_group_spot_check():
     S3 = symmetric_group(3)
     rep = verify("hanlon", S3, 2)
     assert rep.ok
+
+
+# ---------------------------------------------------------------------------
+# the catalogue's public face: ids, summaries, usage errors, d
+
+
+PINNED_IDS = (
+    "stanley", "hanlon", "second", "third", "one_mod_d", "zero_mod_d",
+    "fibre_corollary", "qsim_corollary", "whitney_hanlon", "whitney_R",
+    "whitney_Qsim", "whitney_1modd", "whitney_0modd", "bn_whitney",
+    "dn_series", "product_form_F",
+)
+
+PINNED_SUMMARIES = {
+    "stanley": "alternating partition-lattice homology sum equals the "
+               "logarithmic inverse series",
+    "hanlon": "alternating full-family homology sum equals the plethystic "
+              "inverse of the group exponential",
+    "second": "alternating restricted-family homology sum equals one minus "
+              "the composed group exponential",
+    "third": "alternating simple-family homology sum carries an extra "
+             "linear factor",
+    "one_mod_d": "blocks congruent to one mod d: alternating homology sum "
+                 "in closed plethystic form",
+    "zero_mod_d": "blocks congruent to zero mod d: alternating homology sum "
+                  "in closed plethystic form",
+    "fibre_corollary": "product of the full and restricted alternating sums "
+                       "telescopes to one",
+    "qsim_corollary": "simple-family sum factors through the full-family sum",
+    "whitney_hanlon": "t-graded Whitney characters of the full family in "
+                      "closed form",
+    "whitney_R": "t-graded Whitney characters of the restricted family",
+    "whitney_Qsim": "t-graded Whitney characters of the simple family",
+    "whitney_1modd": "t-graded Whitney characters, blocks one mod d",
+    "whitney_0modd": "t-graded Whitney characters, blocks zero mod d",
+    "bn_whitney": "t-graded Whitney characters of the signed-partition "
+                  "family for the order-two group",
+    "dn_series": "series variant of the signed-partition identity with a "
+                 "degree-two correction factor",
+    "product_form_F": "the inverse of the composed group exponential as an "
+                      "explicit infinite product",
+}
+
+# every entry point that takes a theorem id, at a small degree
+ENTRY_POINTS = {
+    "closed_form": lambda th, G, d: closed_form(th, G, 2, d),
+    "brute_force_side": lambda th, G, d: brute_force_side(th, G, 1, d),
+    "natural_form": lambda th, G, d: natural_form(th, G, 2, d),
+    "verify": lambda th, G, d: verify(th, G, 1, d),
+}
+
+
+def test_theorem_ids_and_summaries_are_pinned_in_order():
+    assert THEOREM_IDS == PINNED_IDS
+    assert list(theorems.THEOREM_SUMMARIES.items()) == \
+        [(th, PINNED_SUMMARIES[th]) for th in PINNED_IDS]
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("theorem, G, d, message", [
+    ("nope", C2, None,
+     "unknown theorem 'nope'; expected one of " + ", ".join(PINNED_IDS)),
+    ("stanley", C2, None, "stanley is stated over the trivial group"),
+    ("bn_whitney", C1, None, "bn_whitney is stated over the order-two group"),
+    ("bn_whitney", C3, None, "bn_whitney is stated over the order-two group"),
+    ("dn_series", C1, None, "dn_series is stated over the order-two group"),
+    ("dn_series", C3, None, "dn_series is stated over the order-two group"),
+    ("one_mod_d", C2, 1, "d must be at least two"),
+    ("whitney_0modd", C2, 1, "d must be at least two"),
+])
+def test_usage_errors_are_pinned(entry, theorem, G, d, message):
+    with pytest.raises(UsageError) as info:
+        ENTRY_POINTS[entry](theorem, G, d)
+    assert str(info.value) == message
+
+
+def test_only_the_modular_families_take_d():
+    modular = ("one_mod_d", "zero_mod_d", "whitney_1modd", "whitney_0modd")
+    for th, G, _d in theorem_cases(C2):
+        assert verify(th, G, 0).d == (2 if th in modular else None)
+        assert verify(th, G, 0, d=3).d == (3 if th in modular else None)
