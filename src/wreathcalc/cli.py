@@ -23,7 +23,7 @@ from .groups import (FiniteGroup, GroupTableError, class_power, cyclic_group,
 from .posets import PosetError, order_complex_homology
 from .series import SeriesError, format_series, series_terms
 from .theorems import (THEOREM_IDS, BudgetError, HOMOLOGY_ELEMENT_BUDGET,
-                       UsageError, _acted_poset, closed_form,
+                       UsageError, _OVERRIDE, _acted_poset, closed_form,
                        identity_char_poly, verify)
 
 _GROUP_NAMES = {
@@ -172,8 +172,8 @@ def _cmd_poset(args, out) -> int:
         proper = P.proper_part()
         if proper.n > HOMOLOGY_ELEMENT_BUDGET and not args.force:
             raise BudgetError(
-                "proper part has %d elements (homology budget %d); pass "
-                "--force to override" % (proper.n, HOMOLOGY_ELEMENT_BUDGET),
+                "proper part has %d elements (homology budget %d); %s"
+                % (proper.n, HOMOLOGY_ELEMENT_BUDGET, _OVERRIDE),
                 estimate=proper.n)
         betti = order_complex_homology(proper)
         payload["homology"] = {str(k): v for k, v in sorted(betti.items())}
@@ -202,13 +202,7 @@ def _cmd_group(args, out) -> int:
         G = cyclic_group(args.cyclic)
         label = "c%d" % args.cyclic
     else:
-        try:
-            with open(args.table, "r", encoding="utf-8") as handle:
-                G = read_table_text(handle.read())
-        except OSError as exc:
-            raise UsageError("cannot read group table %s: %s"
-                             % (args.table, exc))
-        label = args.table
+        label, G = resolve_group("file:" + args.table)
     wanted = [item.strip() for item in args.emit.split(",") if item.strip()]
     for item in wanted:
         if item not in ("classes", "powmap"):

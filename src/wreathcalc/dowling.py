@@ -207,7 +207,6 @@ class FamilyPoset:
     n: int
     d: Optional[int]
     poset: Poset
-    index_of: dict = field(default_factory=dict)
     # part_masks[K]: the elements that have K as a part
     part_masks: dict = field(default_factory=dict)
 
@@ -242,12 +241,13 @@ class FamilyPoset:
         """The poset permutation induced by a wreath element.
 
         Payloads share parts and i_masks, so each distinct mask is
-        transformed once per call.
+        transformed once per call; the payload index is built per call too.
         """
         if len(w.perm) != self.n:
             raise FamilyError("element acts on %d positions, poset has %d"
                               % (len(w.perm), self.n))
         point_perm = induced_point_perm(self.G, w)
+        index_of = {x: i for i, x in enumerate(self.poset.payloads)}
         i_images: dict[int, int] = {}
         part_images: dict[int, int] = {}
         out = []
@@ -262,7 +262,7 @@ class FamilyPoset:
                     img = part_images[K] = _mask_image(K, point_perm)
                 new_parts.append(img)
             new_parts.sort()
-            out.append(self.index_of[(new_i, tuple(new_parts))])
+            out.append(index_of[(new_i, tuple(new_parts))])
         return out
 
 
@@ -368,8 +368,7 @@ def build_family(family: str, G: FiniteGroup, n: int, d: Optional[int] = None,
         if pairwise.up != poset.up:
             raise FamilyError("relation masks disagree with the pairwise "
                               "order")
-    return FamilyPoset(family, G, n, d, poset,
-                       {payload: i for i, payload in enumerate(payloads)}, H)
+    return FamilyPoset(family, G, n, d, poset, H)
 
 
 def family_rank_formula(fp: FamilyPoset, payload: Payload) -> int:

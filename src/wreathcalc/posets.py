@@ -1,14 +1,15 @@
 """Finite posets as bitmask relation tables, with exact topological invariants.
 
 A Poset stores, for each element index i, the bitmask up[i] of all j with
-i <= j (and the transpose down[j]).  Everything downstream -- covers, Moebius
-values, rank functions, order-complex homology, fixed subposets under an
-automorphism -- works on these masks with integer arithmetic only, so results
-are exact.  A subposet can also be given as a mask W over the same indices:
-the fixed-point Moebius sweep, the chain counts of Hall's check and the
-equivariant characteristic polynomial keep one value per ambient element,
-zero outside W, and sum it along the ambient lists of elements below, so
-the fixed subposet is never built.
+i <= j: its one copy of the order.  The lists of the elements below each j
+are read off these masks on first use.  Everything downstream -- covers,
+Moebius values, rank functions, order-complex homology, fixed subposets
+under an automorphism -- works on these masks with integer arithmetic only,
+so results are exact.  A subposet can also be given as a mask W over the
+same indices: the fixed-point Moebius sweep, the chain counts of Hall's
+check and the equivariant characteristic polynomial keep one value per
+ambient element, zero outside W, and sum it along the ambient lists of
+elements below, so the fixed subposet is never built.
 
 Homology is reduced rational homology of the order complex (the simplicial
 complex of chains), from the ranks of sparse integer boundary matrices
@@ -46,7 +47,7 @@ def _mask_of(indices: Iterable[int], size: int) -> int:
 class Poset:
     """A finite poset over payload elements, compared once at construction."""
 
-    __slots__ = ("payloads", "n", "up", "down", "_below", "_ranks")
+    __slots__ = ("payloads", "n", "up", "_below", "_ranks")
 
     def __init__(self, payloads: Sequence, leq: Callable, validate: bool = False):
         self.payloads = list(payloads)
@@ -60,21 +61,18 @@ class Poset:
             up.append(mask)
         self.up = up
         self._below: Optional[list[list[int]]] = None
-        self.down = self._transpose()
         self._ranks: Optional[list[int]] = None
         if validate:
             self._validate()
 
     @classmethod
-    def from_masks(cls, payloads: Sequence, up: list[int],
-                   down: Optional[list[int]] = None) -> "Poset":
-        """A poset from its up masks; down, when given, must be their transpose."""
+    def from_masks(cls, payloads: Sequence, up: list[int]) -> "Poset":
+        """A poset from its up masks."""
         self = cls.__new__(cls)
         self.payloads = list(payloads)
         self.n = len(self.payloads)
         self.up = list(up)
         self._below = None
-        self.down = self._transpose() if down is None else list(down)
         self._ranks = None
         return self
 
@@ -92,17 +90,14 @@ class Poset:
             self._below = below
         return self._below
 
-    def _transpose(self) -> list[int]:
-        return [_mask_of(lower, self.n) | 1 << j
-                for j, lower in enumerate(self.below_lists())]
-
     def _validate(self) -> None:
         for i in range(self.n):
             if not (self.up[i] >> i) & 1:
                 raise PosetError("relation is not reflexive at %d" % i)
-            if self.up[i] & self.down[i] != 1 << i:
-                raise PosetError("relation is not antisymmetric at %d" % i)
             for j in _iter_bits(self.up[i]):
+                if j != i and (self.up[j] >> i) & 1:
+                    raise PosetError(
+                        "relation is not antisymmetric at %d, %d" % (i, j))
                 if self.up[j] & ~self.up[i]:
                     raise PosetError(
                         "relation is not transitive through %d <= %d" % (i, j))
@@ -116,10 +111,11 @@ class Poset:
         return self.up[i] & ~(1 << i)
 
     def strict_down(self, i: int) -> int:
-        return self.down[i] & ~(1 << i)
+        return _mask_of(self.below_lists()[i], self.n)
 
     def bottom(self, within: Optional[int] = None) -> Optional[int]:
-        """The least element, of the subposet on the mask within if given.
+        """The least element, of the subposet on the mask within if given:
+        the element of within whose up mask holds all of within.
 
         Candidates are tried from the lowest index up."""
         W = (1 << self.n) - 1 if within is None else within
@@ -131,23 +127,21 @@ class Poset:
     def top(self, within: Optional[int] = None) -> Optional[int]:
         """The greatest element, of the subposet on the mask within if given.
 
-        Candidates are tried from the highest index down."""
+        The elements of within above all of within are the AND of their up
+        masks; by antisymmetry that is the top alone or nothing."""
         W = (1 << self.n) - 1 if within is None else within
-        rest = W
-        while rest:
-            j = rest.bit_length() - 1
-            if self.down[j] & W == W:
-                return j
-            rest ^= 1 << j
-        return None
+        common = W
+        for i in _iter_bits(W):
+            common &= self.up[i]
+        return common.bit_length() - 1 if common else None
 
     def covers_of(self, i: int) -> list[int]:
-        """Elements covering i."""
-        out = []
-        for j in _iter_bits(self.strict_up(i)):
-            if not self.strict_up(i) & self.strict_down(j):
-                out.append(j)
-        return out
+        """Elements covering i: those above i and above nothing above i."""
+        above = self.strict_up(i)
+        beyond = 0
+        for j in _iter_bits(above):
+            beyond |= self.strict_up(j)
+        return list(_iter_bits(above & ~beyond))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in self.covers_of(i)]
@@ -155,23 +149,16 @@ class Poset:
     # -- subposets ---------------------------------------------------------------
 
     def subposet(self, indices: Sequence[int]) -> "Poset":
-        """Restriction to the given indices (payloads carried over).
-
-        The induced order restricts both up and down, so nothing is
-        transposed.
-        """
+        """Restriction to the given indices (payloads carried over)."""
         idx = list(indices)
         keep = _mask_of(idx, self.n)
         pos = [0] * self.n
         for k, orig in enumerate(idx):
             pos[orig] = k
-
-        def restrict(masks: list[int]) -> list[int]:
-            return [_mask_of([pos[j] for j in _iter_bits(masks[orig] & keep)],
-                             len(idx)) for orig in idx]
-
-        return Poset.from_masks([self.payloads[i] for i in idx],
-                                restrict(self.up), restrict(self.down))
+        return Poset.from_masks(
+            [self.payloads[i] for i in idx],
+            [_mask_of([pos[j] for j in _iter_bits(self.up[orig] & keep)],
+                      len(idx)) for orig in idx])
 
     def proper_part_indices(self) -> list[int]:
         b, t = self.bottom(), self.top()
@@ -359,11 +346,17 @@ def mobius_via_chains(P: Poset, within: Optional[int] = None) -> int:
     (chain_counts), and only the final sum carries signs.
     """
     b, t = P.bottom(within), P.top(within)
-    if b is not None and b == t:
-        return 1
     if b is None or t is None:
         raise PosetError("proper part needs a bottom and a top")
     W = (1 << P.n) - 1 if within is None else within
+    return _hall_mobius(P, W, b, t)
+
+
+def _hall_mobius(P: Poset, W: int, b: int, t: int) -> int:
+    """Hall's signed chain count for mu(b, t) on the subposet on the mask W,
+    whose bottom b and top t the caller has found."""
+    if b == t:
+        return 1
     total = -1  # the empty chain
     for size, count in chain_counts(P, W & ~(1 << b) & ~(1 << t)).items():
         total -= (-1) ** size * count
@@ -397,7 +390,7 @@ def fixed_point_mobius(P: Poset, perm) -> tuple[int, int]:
     b, t = P.bottom(W), P.top(W)
     if b is None or t is None:
         raise PosetError("needs a bottom and a top")
-    return P.mobius_from(b, W)[t], mobius_via_chains(P, W)
+    return P.mobius_from(b, W)[t], _hall_mobius(P, W, b, t)
 
 
 def is_automorphism(P: Poset, perm: Sequence[int]) -> bool:
@@ -472,8 +465,9 @@ def atom_order_condition(P: Poset, atom_order: Sequence[int]) -> bool:
             common = P.up[ai] & P.up[aj]
             for y in _iter_bits(common):
                 ok = False
-                for z in _iter_bits(covers_mask[aj] & P.down[y]):
-                    if earlier_covered.get(z, 0) & before:
+                for z in _iter_bits(covers_mask[aj]):
+                    if (P.up[z] >> y) & 1 \
+                            and earlier_covered.get(z, 0) & before:
                         ok = True
                         break
                 if not ok:

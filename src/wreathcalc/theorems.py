@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -112,6 +112,8 @@ HOMOLOGY_ELEMENT_BUDGET = 300
 TRACE_N_BUDGET = 4
 GROUP_ORDER_BUDGET = 6
 DEGREE_BUDGET = 8
+# the end of every budget refusal, naming the keyword and the CLI switch
+_OVERRIDE = "pass force=True (--force on the command line) to override"
 
 _T_SAMPLES = (Fraction(1), Fraction(2), Fraction(1, 2))
 
@@ -245,8 +247,8 @@ def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
     size = count_family(built, G, n, d)
     if size > POSET_ELEMENT_BUDGET and not force:
         raise BudgetError(
-            "family %s at n=%d has %d elements (budget %d); pass force to "
-            "override" % (family, n, size, POSET_ELEMENT_BUDGET),
+            "family %s at n=%d has %d elements (budget %d); %s"
+            % (family, n, size, POSET_ELEMENT_BUDGET, _OVERRIDE),
             estimate=size)
     key = (family, G.table, n, d)
     hit = _poset_cache.get(key)
@@ -254,16 +256,13 @@ def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
         _poset_cache.move_to_end(key)
         return hit
     fp = build_family(built, G, n, d)
-    P = fp.poset
     if family == "bn" and n % 2 == 1:
-        # the canonical sort puts the top, the only element with the
-        # full i_mask, last; removing it leaves a prefix of the indices
-        last = P.n - 1
-        assert P.top() == last
-        prefix = (1 << last) - 1
-        hit = (P.subposet(range(last)), lambda w: fp.fixed_mask(w) & prefix)
-    else:
-        hit = (P, fp.fixed_mask)
+        # the canonical sort puts the top, the only element with the full
+        # i_mask, last; without it the fixed masks start from the prefix
+        last = fp.poset.n - 1
+        assert fp.poset.top() == last
+        fp = replace(fp, poset=fp.poset.subposet(range(last)))
+    hit = (fp.poset, fp.fixed_mask)
     _poset_cache[key] = hit
     if len(_poset_cache) > _POSET_CACHE_SIZE:
         _poset_cache.popitem(last=False)
@@ -500,16 +499,16 @@ def verify(theorem: str, G: FiniteGroup, n_max: int,
     if not force:
         if theorem not in ("product_form_F",) and n_max > TRACE_N_BUDGET:
             raise BudgetError(
-                "trace computations are budgeted to n_max <= %d; pass force "
-                "to override" % TRACE_N_BUDGET)
+                "trace computations are budgeted to n_max <= %d; %s"
+                % (TRACE_N_BUDGET, _OVERRIDE))
         if G.order > GROUP_ORDER_BUDGET:
             raise BudgetError(
-                "group order %d exceeds the budget %d; pass force to "
-                "override" % (G.order, GROUP_ORDER_BUDGET))
+                "group order %d exceeds the budget %d; %s"
+                % (G.order, GROUP_ORDER_BUDGET, _OVERRIDE))
         if N > DEGREE_BUDGET:
             raise BudgetError(
-                "truncation degree %d exceeds the budget %d; pass force to "
-                "override" % (N, DEGREE_BUDGET))
+                "truncation degree %d exceeds the budget %d; %s"
+                % (N, DEGREE_BUDGET, _OVERRIDE))
     start = time.perf_counter()
     label = group_label or ("order-%d group" % G.order)
     report = VerificationReport(theorem, label, G.order, n_max, d, N)
@@ -620,7 +619,8 @@ def bn_dimension(n: int, force: bool = False) -> int:
     bottom = P.bottom()
     open_part = P.subposet([i for i in range(P.n) if i != bottom])
     if open_part.n > HOMOLOGY_ELEMENT_BUDGET and not force:
-        raise BudgetError("homology budget exceeded", estimate=open_part.n)
+        raise BudgetError("homology budget exceeded; " + _OVERRIDE,
+                          estimate=open_part.n)
     betti = order_complex_homology(open_part)
     top = max(k for k, v in betti.items() if v)
     return betti[top]

@@ -364,10 +364,16 @@ def oracle_fixed_mask(perm):
     return mask
 
 
+def down_masks(P):
+    """The down masks of P as its strict_down reads them, to compare with
+    the transpose of oracle_subposet."""
+    return [P.strict_down(j) | 1 << j for j in range(P.n)]
+
+
 def _oracle_fixed_subposet(P, perm):
     fixed = [i for i in range(P.n) if perm[i] == i]
-    up, down = oracle_subposet(P, fixed)
-    return Poset.from_masks([P.payloads[i] for i in fixed], up, down), fixed
+    up, _down = oracle_subposet(P, fixed)
+    return Poset.from_masks([P.payloads[i] for i in fixed], up), fixed
 
 
 def oracle_top_trace(P, perm):

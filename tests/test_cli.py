@@ -247,6 +247,25 @@ def test_poset_element_budget(capsys):
     assert "elements 4088" in out
 
 
+def test_budget_refusals_name_the_cli_switch(capsys):
+    for argv in (["poset", "--family", "q", "--group", "c2", "--n", "6"],
+                 ["verify", "--theorem", "hanlon", "--group", "c2",
+                  "--n-max", "5"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert "force=True" in err and "--force" in err
+
+
+def test_unreadable_group_table_exits_two(capsys):
+    code, out, err = run_cli(
+        ["group", "--table", "/no/such/file.txt", "--emit", "classes"],
+        capsys)
+    assert code == 2
+    assert out == ""
+    assert "cannot read group table /no/such/file.txt" in err
+
+
 def test_poset_charpoly_builds_the_family_once(monkeypatch, capsys):
     from collections import OrderedDict
 

@@ -99,10 +99,11 @@ def test_sparse_rank_on_random_integer_matrices():
 def test_action_of_matches_transform_payload():
     for G, n in ((C2, 4), (S3, 3)):
         fp = build_family("q", G, n)
+        index_of = {x: i for i, x in enumerate(fp.poset.payloads)}
         for tau in enumerate_class_types(G, n):
             w = type_representative(G, tau)
             point_perm = induced_point_perm(G, w)
-            expected = [fp.index_of[transform_payload(x, w.perm, point_perm)]
+            expected = [index_of[transform_payload(x, w.perm, point_perm)]
                         for x in fp.poset.payloads]
             assert fp.action_of(w) == expected
 
