@@ -237,41 +237,6 @@ class FamilyPoset:
                 fixed &= ~having | H.get(image, 0)
         return fixed
 
-    def action_of(self, w: WreathElement) -> list[int]:
-        """The poset permutation induced by a wreath element.
-
-        Payloads share parts and i_masks, so each distinct mask is
-        transformed once per call; the payload index is built per call too.
-        """
-        if len(w.perm) != self.n:
-            raise FamilyError("element acts on %d positions, poset has %d"
-                              % (len(w.perm), self.n))
-        point_perm = induced_point_perm(self.G, w)
-        index_of = {x: i for i, x in enumerate(self.poset.payloads)}
-        i_images: dict[int, int] = {}
-        part_images: dict[int, int] = {}
-        out = []
-        for i_mask, parts in self.poset.payloads:
-            new_i = i_images.get(i_mask)
-            if new_i is None:
-                new_i = i_images[i_mask] = _mask_image(i_mask, w.perm)
-            new_parts = []
-            for K in parts:
-                img = part_images.get(K)
-                if img is None:
-                    img = part_images[K] = _mask_image(K, point_perm)
-                new_parts.append(img)
-            new_parts.sort()
-            out.append(index_of[(new_i, tuple(new_parts))])
-        return out
-
-
-def _mask_image(mask: int, perm) -> int:
-    image = 0
-    for b in _iter_bits(mask):
-        image |= 1 << perm[b]
-    return image
-
 
 def _byte_tables(perm) -> list[list[int]]:
     """Images under perm of the bytes of a mask: the image of a mask is the
@@ -284,12 +249,6 @@ def _byte_tables(perm) -> list[list[int]]:
             table[v] = table[v ^ low] | 1 << perm[base + low.bit_length() - 1]
         tables.append(table)
     return tables
-
-
-def transform_payload(payload: Payload, perm, point_perm) -> Payload:
-    i_mask, parts = payload
-    return (_mask_image(i_mask, perm),
-            tuple(sorted(_mask_image(K, point_perm) for K in parts)))
 
 
 def _element_masks(payloads: list[Payload],

@@ -4,7 +4,7 @@ Each named identity has a closed-form symmetric-function side and, where a
 poset model exists, a brute-force side computed from explicitly constructed
 posets: fixed-point Mobius values feed the ungraded character sums, and
 equivariant characteristic polynomials feed the t-graded ones.  verify()
-compares the two sides degree by degree in exact rational arithmetic and
+compares the two series degree by degree in exact rational arithmetic and
 reports the first discrepancy.  Univariate shadows of the closed forms are
 checked against classical one-variable series at rational t values.
 """
@@ -23,9 +23,9 @@ from .plethysm import (_mod_inverse, average_p1, compose, exp_compose,
                        product_form_inverse, uni_analytic)
 from .posets import (Poset, equivariant_char_poly, fixed_point_mobius,
                      lefschetz_top_trace, order_complex_homology)
-from .series import (GradedSeries, Mono, const, exp_series, l_series,
-                     mod_filter, mono_degree, natural_spec, one, pow1p_of,
-                     t_monomial, uni_const, uni_one, uni_x, zero)
+from .series import (GradedSeries, Mono, ONE_MONO, _by_degree, exp_series,
+                     l_series, mod_filter, mono_degree, natural_spec, one,
+                     pow1p_of, t_monomial, uni_const, uni_one, uni_x, zero)
 from .wreath import (WreathType, centralizer_order, enumerate_class_types,
                      type_representative)
 
@@ -239,11 +239,12 @@ def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
     """Poset for the family plus a map from wreath elements to the bitmasks
     of the elements they fix.
 
-    bn is q1modd at d=2, less its top for odd n.  Families above
-    POSET_ELEMENT_BUDGET elements are refused, before anything is built,
-    unless forced.
+    bn is q1modd at d=2, less its top for odd n; d is dropped for the
+    families that take none.  Families above POSET_ELEMENT_BUDGET elements
+    are refused, before anything is built, unless forced.
     """
-    built, d = ("q1modd", 2) if family == "bn" else (family, d)
+    built, d = (("q1modd", 2) if family == "bn" else
+                (family, d if family in ("q1modd", "q0modd") else None))
     size = count_family(built, G, n, d)
     if size > POSET_ELEMENT_BUDGET and not force:
         raise BudgetError(
@@ -272,37 +273,50 @@ def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
 def brute_force_side(theorem: str, G: FiniteGroup, n: int,
                      d: Optional[int] = None,
                      force: bool = False) -> Optional[GradedSeries]:
-    """Degree-n slice of the statement's sum, computed from explicit posets.
-
-    Returns None when the statement has no finite model at this degree
-    (the series-only identity beyond its declared low-degree terms).
+    """Degree-n slice of the statement's brute-force series; a statement
+    with a family builds only its degree-n poset.  Returns None when the
+    statement has no finite model at this degree (the series-only identity
+    beyond its declared low-degree terms).
     """
     spec, d = _statement(theorem, G, d)
     if n < 0:
         raise UsageError("degree must be nonnegative")
-    if n == 0:
-        return const(G, 0, spec.deg0)
-    if theorem == "dn_series":
-        if n == 1:
-            return average_p1(G, 1)
-        if n == 2:
-            return exp_series(G, 2).homogeneous_part(2)
-        return None
+    if spec.family is not None and n > 0:
+        return GradedSeries(G, n, 1, _poset_terms(theorem, G, n, d, force))
+    series, last = _brute_force_series(theorem, G, n, d, force)
+    return series.homogeneous_part(n).truncate(n) if n <= last else None
+
+
+def _brute_force_series(theorem: str, G: FiniteGroup, n_max: int,
+                        d: Optional[int],
+                        force: bool) -> tuple[GradedSeries, int]:
+    """The statement's brute-force side through degree n_max, and the last
+    degree it models; theorem, G and d are already checked."""
     if theorem == "product_form_F":
-        return exp_compose(G, n, l_series(_trivial(), n).neg()) \
-            .homogeneous_part(n)
+        return exp_compose(G, n_max, l_series(_trivial(), n_max).neg()), n_max
+    if theorem == "dn_series":
+        return (one(G, n_max) + average_p1(G, n_max)
+                + exp_series(G, n_max).homogeneous_part(2)), 2
     if theorem == "fibre_corollary":
-        full_q = _statement_sum("hanlon", G, n, None, force)
-        full_r = _statement_sum("second", G, n, None, force)
-        product = full_q * (one(G, n) - full_r)
-        return product.homogeneous_part(n)
+        Q, R = (_brute_force_series(th, G, n_max, None, force)[0]
+                for th in ("hanlon", "second"))
+        return Q * (one(G, n_max) - R), n_max
     if theorem == "qsim_corollary":
-        full_qs = _statement_sum("third", G, n, None, force)
-        full_q = _statement_sum("hanlon", G, n, None, force)
-        factor = one(G, n) + average_p1(G, n)
-        return (full_qs - factor * full_q).homogeneous_part(n)
+        Qs, Q = (_brute_force_series(th, G, n_max, None, force)[0]
+                 for th in ("third", "hanlon"))
+        return Qs - (one(G, n_max) + average_p1(G, n_max)) * Q, n_max
+    terms = {(ONE_MONO, 0): Fraction(_STATEMENTS[theorem].deg0)}
+    for n in range(1, n_max + 1):
+        terms.update(_poset_terms(theorem, G, n, d, force))
+    return GradedSeries(G, n_max, 1, terms), n_max
+
+
+def _poset_terms(theorem: str, G: FiniteGroup, n: int, d: Optional[int],
+                 force: bool) -> dict[tuple[Mono, int], Fraction]:
+    """The degree-n terms of a family statement, from its poset."""
     if theorem == "third" and n == 1:
-        return zero(G, 1)
+        return {}
+    spec = _STATEMENTS[theorem]
     P, act = _acted_poset(spec.family, G, n, d, force)
     # graded: the rank-indexed fixed-point Moebius sums; ungraded: the signed
     # top trace, in t-degree 0.  Either is divided by the centralizer order.
@@ -316,17 +330,7 @@ def brute_force_side(theorem: str, G: FiniteGroup, n: int,
         z = centralizer_order(G, tau)
         for r, v in values.items():
             terms[(tau, r)] = Fraction(v, z)
-    return GradedSeries(G, n, 1, terms)
-
-
-def _statement_sum(theorem: str, G: FiniteGroup, n: int, d: Optional[int],
-                   force: bool) -> GradedSeries:
-    """Constant term plus all brute-force slices through degree n."""
-    total = const(G, n, _STATEMENTS[theorem].deg0)
-    for k in range(1, n + 1):
-        piece = brute_force_side(theorem, G, k, d, force)
-        total = total + GradedSeries(G, n, piece.t_den, dict(piece.terms))
-    return total
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -513,35 +517,31 @@ def verify(theorem: str, G: FiniteGroup, n_max: int,
     label = group_label or ("order-%d group" % G.order)
     report = VerificationReport(theorem, label, G.order, n_max, d, N)
     closed = closed_form(theorem, G, N, d)
+    brute, last = _brute_force_series(theorem, G, n_max, d, force)
+    sides = [(f.t_den, _by_degree(f.terms)) for f in (closed, brute)]
     for n in range(n_max + 1):
-        brute = brute_force_side(theorem, G, n, d, force)
-        if brute is None:
+        if n > last:
             report.degrees.append(DegreeResult(
                 n, "skipped",
                 "series-side identity; no poset model beyond degree two"))
             continue
-        want = closed.homogeneous_part(n).truncate(n)
-        if want == brute:
+        want, got = (GradedSeries._trusted(G, n, den, parts.get(n, {}))
+                     for den, parts in sides)
+        if want == got:
             report.degrees.append(DegreeResult(n, "ok"))
         else:
             report.degrees.append(DegreeResult(
-                n, "mismatch", mismatch=_first_difference(want, brute)))
-    formula = natural_form(theorem, G, N, d, _T_SAMPLES[0])
-    if formula is None:
+                n, "mismatch", mismatch=_first_difference(want, got)))
+    samples = _T_SAMPLES if spec.graded else _T_SAMPLES[:1]
+    forms = [natural_form(theorem, G, N, d, s) for s in samples]
+    if forms[0] is None:
         report.natural_status = "skipped"
         report.natural_note = "no one-variable form on record"
     else:
         shadow = natural_spec(closed)
-        samples = _T_SAMPLES if spec.graded else _T_SAMPLES[:1]
-        bad = None
-        for s in samples:
-            if s != samples[0]:
-                formula = natural_form(theorem, G, N, d, s)
-            lhs = shadow.substitute_t(s).truncate(N)
-            rhs = formula.substitute_t(1).truncate(N)
-            if lhs != rhs:
-                bad = s
-                break
+        bad = next((s for s, form in zip(samples, forms)
+                    if shadow.substitute_t(s).truncate(N)
+                    != form.substitute_t(1).truncate(N)), None)
         if bad is None:
             report.natural_status = "ok"
             if spec.graded:

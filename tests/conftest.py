@@ -8,8 +8,9 @@ powers and inverses by repeated full products.  The poset oracles are the
 ones the poset layer used before it stopped listing chains: Hall's sum over
 the listed chains, and rank by elimination over Fraction entries.  The
 Dowling oracles are the ones it used before it worked on masks: relation
-masks by a pairwise test of payloads level by level, fixed elements read
-off the permutation from action_of, and fixed-point traces and
+masks by a pairwise test of payloads level by level, the poset
+permutation of a wreath element by transforming payloads (action_of),
+fixed elements read off that permutation, and fixed-point traces and
 characteristic polynomials on the materialized fixed subposet.  The
 closed-form oracles are the mod-d closed sides as written before they
 applied the group exponential E = exp_series(G) only through exp_compose:
@@ -20,12 +21,14 @@ sech_series and of the dense E itself.
 import itertools
 from fractions import Fraction
 
+from wreathcalc.dowling import FamilyError
 from wreathcalc.groups import class_power, cyclic_group, group_from_table
 from wreathcalc.plethysm import (arcsinh_series, compose, plethystic_inverse,
                                  sech_series)
 from wreathcalc.posets import Poset, PosetError, _iter_bits
 from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, const,
                                exp_series, mod_filter, mono_degree, one, zero)
+from wreathcalc.wreath import induced_point_perm
 
 
 def chain_poset(n):
@@ -278,6 +281,43 @@ def oracle_sparse_rank(rows):
 # -- Dowling oracles -------------------------------------------------------------
 
 
+def _group_by_rule(elements, mul, names):
+    index = {x: i for i, x in enumerate(elements)}
+    return group_from_table([[index[mul(x, y)] for y in elements]
+                             for x in elements], names)
+
+
+def dihedral_8():
+    """D4 = <r, s>, r^a s^b stored as (a, b) and listed so that the classes
+    are {1}, {s, r^2 s}, {rs, r^3 s}, {r, r^3} and {r^2}."""
+    elements = [(0, 0), (0, 1), (1, 1), (1, 0), (2, 1), (3, 1), (3, 0), (2, 0)]
+
+    def mul(x, y):
+        return ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2)
+
+    return _group_by_rule(elements, mul,
+                          ["1", "s", "rs", "r", "r2s", "r3s", "r3", "r2"])
+
+
+def quaternion_8():
+    """Q8, sign * unit stored as (sign, unit) with units 0..3 = 1, i, j, k,
+    listed so that the classes are {1}, {+-i}, {+-j}, {+-k} and {-1}."""
+    elements = [(1, 0), (1, 1), (1, 2), (1, 3), (-1, 1), (-1, 2), (-1, 3),
+                (-1, 0)]
+
+    def mul(x, y):
+        (a, u), (b, v) = x, y
+        if u == 0 or v == 0:
+            return (a * b, u + v)
+        if u == v:
+            return (-a * b, 0)
+        # ij = k, jk = i, ki = j, and the reversed products negate
+        return (a * b * (1 if (v - u) % 3 == 1 else -1), 6 - u - v)
+
+    return _group_by_rule(elements, mul,
+                          ["1", "i", "j", "k", "-i", "-j", "-k", "-1"])
+
+
 def relabeled(G, perm):
     """The same group with element a renamed perm[a]."""
     m = G.order
@@ -288,6 +328,50 @@ def relabeled(G, perm):
         for b in range(m):
             table[perm[a]][perm[b]] = perm[G.table[a][b]]
     return group_from_table(table, names)
+
+
+def action_of(fp, w):
+    """The poset permutation a wreath element induces on a family poset.
+
+    Payloads share parts and i_masks, so each distinct mask is transformed
+    once per call; the payload index is built per call too.
+    """
+    if len(w.perm) != fp.n:
+        raise FamilyError("element acts on %d positions, poset has %d"
+                          % (len(w.perm), fp.n))
+    point_perm = induced_point_perm(fp.G, w)
+    index_of = {x: i for i, x in enumerate(fp.poset.payloads)}
+    i_images = {}
+    part_images = {}
+    out = []
+    for i_mask, parts in fp.poset.payloads:
+        new_i = i_images.get(i_mask)
+        if new_i is None:
+            new_i = i_images[i_mask] = mask_image(i_mask, w.perm)
+        new_parts = []
+        for K in parts:
+            img = part_images.get(K)
+            if img is None:
+                img = part_images[K] = mask_image(K, point_perm)
+            new_parts.append(img)
+        new_parts.sort()
+        out.append(index_of[(new_i, tuple(new_parts))])
+    return out
+
+
+def mask_image(mask, perm):
+    """The image of a bitmask under an index permutation."""
+    image = 0
+    for b in _iter_bits(mask):
+        image |= 1 << perm[b]
+    return image
+
+
+def transform_payload(payload, perm, point_perm):
+    """The image of an (i_mask, parts) payload, one mask at a time."""
+    i_mask, parts = payload
+    return (mask_image(i_mask, perm),
+            tuple(sorted(mask_image(K, point_perm) for K in parts)))
 
 
 def oracle_up_masks(payloads, G, n):

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from conftest import action_of
 from wreathcalc import (
     GradedSeries, atom_order_condition, average_p1, bn_dimension,
     bn_dimension_formula, build_family, char_poly_product_formula,
@@ -192,7 +193,7 @@ def test_criterion_08_dual_route_traces():
                 fp = build_family(family, C2, n, d)
                 for tau in enumerate_class_types(C2, n):
                     w = type_representative(C2, tau)
-                    a, b = lefschetz_two_routes(fp.poset, fp.action_of(w))
+                    a, b = lefschetz_two_routes(fp.poset, action_of(fp, w))
                     assert a == b, (family, n, tau)
 
 

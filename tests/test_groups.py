@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import dihedral_8, quaternion_8
 from wreathcalc.groups import (
     FiniteGroup, GroupTableError, class_power, cyclic_group,
     group_from_table, read_table_text, symmetric_group,
@@ -180,6 +181,15 @@ def test_class_power_oracle_c4():
     assert class_power(G, cls_of_elem[1], 2) == cls_of_elem[2]
     assert class_power(G, cls_of_elem[3], 2) == cls_of_elem[2]
     assert class_power(G, cls_of_elem[2], 2) == cls_of_elem[0]
+
+
+def test_order_eight_groups_share_class_sizes_not_square_maps():
+    D4, Q8 = dihedral_8(), quaternion_8()
+    for G in (D4, Q8):
+        assert G.order == 8
+        assert [cl.size for cl in G.classes] == [1, 2, 2, 2, 1]
+    assert [class_power(D4, c, 2) for c in range(5)] == [0, 0, 0, 4, 0]
+    assert [class_power(Q8, c, 2) for c in range(5)] == [0, 4, 4, 4, 0]
 
 
 def test_class_power_rejects_bad_arguments():

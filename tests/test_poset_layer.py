@@ -8,10 +8,11 @@ from collections import OrderedDict
 
 import pytest
 
-from conftest import (bounded, oracle_hall_mobius, oracle_sparse_rank,
-                      partition_lattice, random_poset)
+from conftest import (action_of, bounded, oracle_hall_mobius,
+                      oracle_sparse_rank, partition_lattice, random_poset,
+                      transform_payload)
 from wreathcalc import posets, theorems
-from wreathcalc.dowling import FamilyPoset, build_family, transform_payload
+from wreathcalc.dowling import build_family
 from wreathcalc.groups import cyclic_group, symmetric_group
 from wreathcalc.posets import (Poset, chain_counts, fixed_subposet,
                                mobius_via_chains, order_complex_homology)
@@ -42,8 +43,8 @@ def fixed_subposets():
                          ("q", S3, 2), ("pi", C1, 4)):
         fp = build_family(family, G, n)
         for tau in enumerate_class_types(G, n):
-            sub, _orig = fixed_subposet(fp.poset,
-                                        fp.action_of(type_representative(G, tau)))
+            w = type_representative(G, tau)
+            sub, _orig = fixed_subposet(fp.poset, action_of(fp, w))
             yield sub
 
 
@@ -105,7 +106,7 @@ def test_action_of_matches_transform_payload():
             point_perm = induced_point_perm(G, w)
             expected = [index_of[transform_payload(x, w.perm, point_perm)]
                         for x in fp.poset.payloads]
-            assert fp.action_of(w) == expected
+            assert action_of(fp, w) == expected
 
 
 def test_trace_check_lists_no_chains(monkeypatch):
@@ -117,7 +118,7 @@ def test_trace_check_lists_no_chains(monkeypatch):
     fp = build_family("q", C2, 3)
     for tau in enumerate_class_types(C2, 3):
         via_mobius, via_chains = lefschetz_two_routes(
-            fp.poset, fp.action_of(type_representative(C2, tau)))
+            fp.poset, action_of(fp, type_representative(C2, tau)))
         assert via_mobius == via_chains
     with pytest.raises(AssertionError):
         order_complex_homology(fp.poset)
@@ -128,7 +129,6 @@ def test_traces_build_no_subposet_and_no_permutation(monkeypatch):
         raise AssertionError("the trace check left the ambient masks")
 
     monkeypatch.setattr(Poset, "subposet", refuse)
-    monkeypatch.setattr(FamilyPoset, "action_of", refuse)
     monkeypatch.setattr(theorems, "_poset_cache", OrderedDict())
     assert verify("whitney_hanlon", C2, 4, force=True).ok
     assert verify("hanlon", C2, 4, force=True).ok

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_bn_closed, oracle_one_mod_d,
-                      oracle_whitney_1modd, relabeled)
+from conftest import (dihedral_8, oracle_bn_closed, oracle_one_mod_d,
+                      oracle_whitney_1modd, quaternion_8, relabeled)
 from wreathcalc import theorems
 from wreathcalc.groups import cyclic_group, group_from_table, symmetric_group
-from wreathcalc.plethysm import (average_p1, compose, sech_series,
-                                 tanh_series, uni_analytic)
+from wreathcalc.plethysm import (average_p1, compose, exp_compose,
+                                 sech_series, tanh_series, uni_analytic)
 from wreathcalc.series import (eq_to_degree, exp_series, l_series,
                                natural_spec, one, p, zero)
 from wreathcalc.theorems import (BudgetError, THEOREM_IDS, UsageError,
@@ -230,6 +230,44 @@ def test_verify_all_poset_theorems_smoke():
         assert not any(r.status == "mismatch" for r in rep.degrees)
 
 
+def test_verify_builds_the_product_form_side_once(monkeypatch):
+    calls = []
+
+    def watch(G, N, g):
+        calls.append(N)
+        return exp_compose(G, N, g)
+
+    monkeypatch.setattr(theorems, "exp_compose", watch)
+    assert verify("product_form_F", C2, 6).ok
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("theorem, families", [
+    ("fibre_corollary", {"q": range(1, 5), "r": range(1, 5)}),
+    ("qsim_corollary", {"qsim": range(2, 5), "q": range(1, 5)}),
+])
+def test_verify_reaches_each_corollary_poset_once(monkeypatch, theorem,
+                                                  families):
+    seen = []
+
+    def watch(family, G, n, d, force=False):
+        seen.append((family, n))
+        return _acted_poset(family, G, n, d, force)
+
+    monkeypatch.setattr(theorems, "_acted_poset", watch)
+    assert verify(theorem, C2, 4, force=True).ok
+    assert sorted(seen) == sorted((f, n) for f, ns in families.items()
+                                  for n in ns)
+
+
+@pytest.mark.parametrize("make_group", [dihedral_8, quaternion_8])
+def test_verify_over_order_eight_groups(make_group):
+    G = make_group()
+    for theorem in ("hanlon", "second", "third", "whitney_hanlon"):
+        rep = verify(theorem, G, 3, force=True)
+        assert rep.ok, (theorem, rep.to_dict())
+
+
 def test_verify_dn_reports_skipped_degrees():
     rep = verify("dn_series", C2, 4)
     assert rep.ok
@@ -389,6 +427,16 @@ def test_poset_cache_keys_by_table():
     P, _act = _acted_poset("q", first, 3, None)
     Q, _act = _acted_poset("q", twin, 3, None)
     assert Q is P
+    assert len(theorems._poset_cache) == 1
+
+
+def test_poset_cache_ignores_d_for_families_without_one():
+    theorems._poset_cache.clear()
+    for d in (None, 3, 2):
+        identity_char_poly("q", C2, 3, d)
+    assert len(theorems._poset_cache) == 1
+    posets = [_acted_poset("q", C2, 3, d)[0] for d in (None, 3, 2)]
+    assert posets[1] is posets[0] and posets[2] is posets[0]
     assert len(theorems._poset_cache) == 1
 
 
