@@ -209,6 +209,14 @@ class FamilyPoset:
     poset: Poset
     # part_masks[K]: the elements that have K as a part
     part_masks: dict = field(default_factory=dict)
+    # (K, part_masks[K]) for one part K per G-orbit: the one whose lowest
+    # point carries the identity label
+    _orbit_reps: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        o, e = self.G.order, self.G.identity
+        self._orbit_reps = [(K, having) for K, having in self.part_masks.items()
+                            if ((K & -K).bit_length() - 1) % o == e]
 
     def fixed_mask(self, w: WreathElement) -> int:
         """The bitmask of the elements w fixes, without the permutation.
@@ -218,6 +226,11 @@ class FamilyPoset:
         and then it also maps G x I, the points outside the parts, onto
         itself.  So x is fixed iff H[K] holding x implies H[wK] holding x
         for every part K that w moves.
+
+        One part per G-orbit suffices.  G acts on points by left
+        translation and w by right multiplication of labels, so the two
+        commute: w(gK) = g(wK).  Every element is G-stable, so H[gK] = H[K]
+        and H[g(wK)] = H[wK], and the condition at gK is the condition at K.
         """
         if len(w.perm) != self.n:
             raise FamilyError("element acts on %d positions, poset has %d"
@@ -228,7 +241,7 @@ class FamilyPoset:
         moved = _mask_of([p for p, q in enumerate(point_perm) if p != q],
                          len(point_perm))
         tables = _byte_tables(point_perm)
-        for K, having in H.items():
+        for K, having in self._orbit_reps:
             if K & moved:
                 image, rest = 0, K
                 for table in tables:
@@ -251,20 +264,35 @@ def _byte_tables(perm) -> list[list[int]]:
     return tables
 
 
-def _element_masks(payloads: list[Payload],
+def _element_masks(payloads: list[Payload], G: FiniteGroup,
                    n: int) -> tuple[list[int], dict[int, int]]:
     """Per-position masks Z[m] of the elements with m in I, and per-part
-    masks H[K] of the elements that have K as a part."""
+    masks H[K] of the elements that have K as a part.
+
+    Every element is G-stable, so the parts of one G-orbit have the same
+    mask: it is built once, for the part whose lowest point carries the
+    identity label, and shared.  Within an element, the orbit of a part
+    is the set of its parts with the same lowest position.
+    """
+    o, e = G.order, G.identity
     count = len(payloads)
     z_idx: list[list[int]] = [[] for _ in range(n)]
     h_idx: dict[int, list[int]] = {}
+    rep_of: dict[int, int] = {}
     for y, (i_mask, parts) in enumerate(payloads):
         for m in _iter_bits(i_mask):
             z_idx[m].append(y)
         for K in parts:
-            h_idx.setdefault(K, []).append(y)
+            R = rep_of.get(K)
+            if R is None:
+                low = (K & -K).bit_length() - 1
+                point = 1 << (low - low % o + e)
+                R = rep_of[K] = next(part for part in parts if part & point)
+            if R == K:
+                h_idx.setdefault(K, []).append(y)
+    rep_masks = {K: _mask_of(ix, count) for K, ix in h_idx.items()}
     return ([_mask_of(ix, count) for ix in z_idx],
-            {K: _mask_of(ix, count) for K, ix in h_idx.items()})
+            {K: rep_masks[R] for K, R in rep_of.items()})
 
 
 def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int,
@@ -279,7 +307,7 @@ def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int,
     free part is a free part, so P is filled from the subsets of each part.
     """
     o = G.order
-    Z, H = element_masks or _element_masks(payloads, n)
+    Z, H = element_masks or _element_masks(payloads, G, n)
     full = (1 << len(payloads)) - 1
     covering = {0: full}   # position mask S -> Z(S)
 
@@ -320,7 +348,7 @@ def build_family(family: str, G: FiniteGroup, n: int, d: Optional[int] = None,
     payloads = enumerate_family(family, G, n, d)
     if len(payloads) != count_family(family, G, n, d):
         raise FamilyError("enumeration disagrees with the counting recursion")
-    Z, H = _element_masks(payloads, n)
+    Z, H = _element_masks(payloads, G, n)
     poset = Poset.from_masks(payloads, _build_up_masks(payloads, G, n, (Z, H)))
     if validate:
         pairwise = Poset(payloads, dowling_leq_factory(G, n), validate=True)

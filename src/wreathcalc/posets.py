@@ -16,7 +16,8 @@ complex of chains), from the ranks of sparse integer boundary matrices
 computed by fraction-free echelon reduction, including the augmentation, so
 the empty poset correctly reports one dimension in degree -1.  Philip Hall's
 chain-count check on Moebius values counts chains by size without listing
-them.
+them, in one sweep that packs the counts of every size into one integer per
+element, in fields wide enough that none carries into the next.
 """
 
 from __future__ import annotations
@@ -85,8 +86,11 @@ class Poset:
         if self._below is None:
             below: list[list[int]] = [[] for _ in range(self.n)]
             for i, mask in enumerate(self.up):
-                for j in _iter_bits(mask & ~(1 << i)):
-                    below[j].append(i)
+                mask &= ~(1 << i)
+                while mask:
+                    b = mask & -mask
+                    below[b.bit_length() - 1].append(i)
+                    mask ^= b
             self._below = below
         return self._below
 
@@ -250,24 +254,34 @@ def chain_counts(P: Poset, within: Optional[int] = None) -> dict[int, int]:
     """Number of nonempty chains of P (or of its subposet on the mask
     within) by size, without listing them.
 
-    c_k(j), the number of chains of size k with top element j, is 1 for
-    k = 1 and the sum of c_{k-1}(i) over i < j otherwise; each size is
-    computed from the one below it until no chain is left.
+    One sweep in a linear extension keeps one packed integer per element,
+    c(j) = (1 + sum of c(i) over i < j) << B, whose field k (bits kB to
+    kB + B - 1) is the number of chains of size k with top element j; the
+    same field of the sum of c(j) over all j counts the chains of size k.
+    With m elements and chains of at most h = max rank + 1 of them, no
+    field exceeds C(m, k) <= m^k < 2^B for B = h bit_length(m) + 1, so no
+    field carries into the next and every count is exact.
     """
-    elems = range(P.n) if within is None else list(_iter_bits(within))
+    W = (1 << P.n) - 1 if within is None else within
+    ranks = P.ranks()
+    elems = sorted(_iter_bits(W), key=ranks.__getitem__)
+    if not elems:
+        return {}
+    width = (ranks[elems[-1]] + 1) * len(elems).bit_length() + 1
     below = P.below_lists()
-    counts: dict[int, int] = {}
-    level = [0] * P.n   # zero outside within
+    packed = [0] * P.n   # zero outside within
+    get = packed.__getitem__
+    total = 0
     for j in elems:
-        level[j] = 1
+        c = packed[j] = (1 + sum(map(get, below[j]))) << width
+        total += c
+    field_mask = (1 << width) - 1
+    counts: dict[int, int] = {}
     size = 1
-    while any(level):
-        counts[size] = sum(level)
-        get = level.__getitem__
-        nxt = [0] * P.n
-        for j in elems:
-            nxt[j] = sum(map(get, below[j]))
-        level = nxt
+    total >>= width
+    while total:
+        counts[size] = total & field_mask
+        total >>= width
         size += 1
     return counts
 

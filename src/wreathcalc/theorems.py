@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -239,9 +239,11 @@ def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
     """Poset for the family plus a map from wreath elements to the bitmasks
     of the elements they fix.
 
-    bn is q1modd at d=2, less its top for odd n; d is dropped for the
-    families that take none.  Families above POSET_ELEMENT_BUDGET elements
-    are refused, before anything is built, unless forced.
+    bn is q1modd at d=2, less its top for odd n: it takes the q1modd entry,
+    as it is at even n and restricted to the subposet without the top at odd
+    n.  d is dropped for the families that take none.  Families above
+    POSET_ELEMENT_BUDGET elements are refused, before anything is built,
+    unless forced.
     """
     built, d = (("q1modd", 2) if family == "bn" else
                 (family, d if family in ("q1modd", "q0modd") else None))
@@ -251,22 +253,23 @@ def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
             "family %s at n=%d has %d elements (budget %d); %s"
             % (family, n, size, POSET_ELEMENT_BUDGET, _OVERRIDE),
             estimate=size)
-    key = (family, G.table, n, d)
+    key = (built, G.table, n, d)
     hit = _poset_cache.get(key)
-    if hit is not None:
+    if hit is None:
+        fp = build_family(built, G, n, d)
+        hit = _poset_cache[key] = (fp.poset, fp.fixed_mask)
+        if len(_poset_cache) > _POSET_CACHE_SIZE:
+            _poset_cache.popitem(last=False)
+    else:
         _poset_cache.move_to_end(key)
-        return hit
-    fp = build_family(built, G, n, d)
     if family == "bn" and n % 2 == 1:
         # the canonical sort puts the top, the only element with the full
-        # i_mask, last; without it the fixed masks start from the prefix
-        last = fp.poset.n - 1
-        assert fp.poset.top() == last
-        fp = replace(fp, poset=fp.poset.subposet(range(last)))
-    hit = (fp.poset, fp.fixed_mask)
-    _poset_cache[key] = hit
-    if len(_poset_cache) > _POSET_CACHE_SIZE:
-        _poset_cache.popitem(last=False)
+        # i_mask, last; the fixed elements of the rest are a prefix
+        P, act = hit
+        last = P.n - 1
+        assert P.top() == last
+        rest = (1 << last) - 1
+        return P.subposet(range(last)), lambda w: act(w) & rest
     return hit
 
 
@@ -320,13 +323,16 @@ def _poset_terms(theorem: str, G: FiniteGroup, n: int, d: Optional[int],
     P, act = _acted_poset(spec.family, G, n, d, force)
     # graded: the rank-indexed fixed-point Moebius sums; ungraded: the signed
     # top trace, in t-degree 0.  Either is divided by the centralizer order.
+    # Classes with the same fixed set share their values, computed once.
     terms: dict[tuple[Mono, int], Fraction] = {}
+    values_of: dict[int, dict[int, int]] = {}
     for tau in enumerate_class_types(G, n):
         W = act(type_representative(G, tau))
-        if spec.graded:
-            values = equivariant_char_poly(P, W)
-        else:
-            values = {0: spec.sign(n, d) * lefschetz_top_trace(P, W)}
+        values = values_of.get(W)
+        if values is None:
+            values = values_of[W] = (
+                equivariant_char_poly(P, W) if spec.graded
+                else {0: spec.sign(n, d) * lefschetz_top_trace(P, W)})
         z = centralizer_order(G, tau)
         for r, v in values.items():
             terms[(tau, r)] = Fraction(v, z)
@@ -700,11 +706,13 @@ def sundaram_balance(family: str, G: FiniteGroup, n: int,
     P, act = _acted_poset(family, G, n, d, force)
     if P.n < 2:
         raise UsageError("balance check needs at least two elements")
+    balanced: dict[int, bool] = {}   # by fixed mask
     bad = []
     for tau in enumerate_class_types(G, n):
-        w = type_representative(G, tau)
-        cp = equivariant_char_poly(P, act(w))
-        if sum(cp.values()) != 0:
+        W = act(type_representative(G, tau))
+        if W not in balanced:
+            balanced[W] = sum(equivariant_char_poly(P, W).values()) == 0
+        if not balanced[W]:
             bad.append(tau)
     return bad
 

@@ -6,13 +6,13 @@ straightforward algorithms the series core used before its fast paths:
 plethysm term by term through the public ring operations, and exp, log,
 powers and inverses by repeated full products.  The poset oracles are the
 ones the poset layer used before it stopped listing chains: Hall's sum over
-the listed chains, and rank by elimination over Fraction entries.  The
-Dowling oracles are the ones it used before it worked on masks: relation
-masks by a pairwise test of payloads level by level, the poset
-permutation of a wreath element by transforming payloads (action_of),
-fixed elements read off that permutation, and fixed-point traces and
-characteristic polynomials on the materialized fixed subposet.  The
-closed-form oracles are the mod-d closed sides as written before they
+the listed chains, chain counts one size at a time, and rank by elimination
+over Fraction entries.  The Dowling oracles are the ones it used before it
+worked on masks: relation masks by a pairwise test of payloads level by
+level, the poset permutation of a wreath element by transforming payloads
+(action_of), fixed elements read off that permutation, and fixed-point
+traces and characteristic polynomials on the materialized fixed subposet.
+The closed-form oracles are the mod-d closed sides as written before they
 applied the group exponential E = exp_series(G) only through exp_compose:
 generic plethysm of mod_filter(E, j, d) / mod_filter(E, 0, d), of
 sech_series and of the dense E itself.
@@ -248,6 +248,27 @@ def oracle_hall_mobius(P):
     for size, chs in P.proper_part().chains().items():
         total += (-1) ** size * len(chs) * (-1)
     return total
+
+
+def oracle_chain_counts(P, within=None):
+    """Chains of P (or of its subposet on the mask within) by size, one size
+    at a time: c_1(j) = 1, and c_k(j) is the sum of c_{k-1}(i) over i < j."""
+    elems = range(P.n) if within is None else list(_iter_bits(within))
+    below = P.below_lists()
+    counts = {}
+    level = [0] * P.n   # zero outside within
+    for j in elems:
+        level[j] = 1
+    size = 1
+    while any(level):
+        counts[size] = sum(level)
+        get = level.__getitem__
+        nxt = [0] * P.n
+        for j in elems:
+            nxt[j] = sum(map(get, below[j]))
+        level = nxt
+        size += 1
+    return counts
 
 
 def oracle_sparse_rank(rows):

@@ -7,12 +7,12 @@ import random
 
 import pytest
 
-from conftest import (action_of, down_masks, oracle_char_poly,
+from conftest import (action_of, dihedral_8, down_masks, oracle_char_poly,
                       oracle_fixed_mask, oracle_subposet, oracle_top_trace,
-                      oracle_up_masks, random_poset, relabeled)
+                      oracle_up_masks, quaternion_8, random_poset, relabeled)
 from wreathcalc.dowling import _build_up_masks, build_family
 from wreathcalc.groups import cyclic_group, symmetric_group
-from wreathcalc.posets import (PosetError, equivariant_char_poly,
+from wreathcalc.posets import (PosetError, _iter_bits, equivariant_char_poly,
                                fixed_mask, lefschetz_top_trace)
 from wreathcalc.theorems import _acted_poset, lefschetz_two_routes
 from wreathcalc.wreath import (all_wreath_elements, enumerate_class_types,
@@ -86,6 +86,35 @@ def test_every_wreath_element():
                     == oracle_top_trace(P, perm)
                 assert equivariant_char_poly(P, mask) \
                     == oracle_char_poly(P, perm)
+
+
+@pytest.mark.parametrize("make_group", [dihedral_8, quaternion_8])
+def test_orbit_fixed_masks_on_every_element_over_non_abelian_groups(
+        make_group):
+    # left translation and right multiplication of labels differ here, so
+    # imaging one part per orbit of the wrong action would show
+    G = make_group()
+    for family, d in FAMILIES:
+        fp = build_family(family, G, 2, d)
+        for w in all_wreath_elements(G, 2):
+            assert fp.fixed_mask(w) == oracle_fixed_mask(action_of(fp, w))
+
+
+def test_part_masks_are_constant_on_group_orbits():
+    for G in (S3, C3_RELABELED):
+        o = G.order
+        for family, d in FAMILIES:
+            fp = build_family(family, G, 3, d)
+            holding = {}
+            for y, (_i_mask, parts) in enumerate(fp.poset.payloads):
+                for K in parts:
+                    holding[K] = holding.get(K, 0) | 1 << y
+            assert fp.part_masks == holding
+            for K, having in holding.items():
+                for g in range(o):
+                    gK = sum(1 << (p - p % o + G.mul(g, p % o))
+                             for p in _iter_bits(K))
+                    assert holding[gK] == having
 
 
 def test_bn_masks_match_the_permutation_route():

@@ -1,16 +1,19 @@
 """Poset layer: chain counts by size, Hall's formula without listed chains,
 fraction-free homology ranks and the memoized group action, each against
-the listing and Fraction oracles in conftest; and guards that the trace
-check lists no chains and builds no subposet or permutation."""
+the listing, level-by-level and Fraction oracles in conftest; and guards
+that the trace check lists no chains, builds no subposet or permutation,
+and evaluates each distinct fixed set once."""
 
 import random
 from collections import OrderedDict
+from math import comb
 
 import pytest
 
-from conftest import (action_of, bounded, oracle_hall_mobius,
-                      oracle_sparse_rank, partition_lattice, random_poset,
-                      transform_payload)
+from conftest import (action_of, boolean_lattice, bounded, chain_poset,
+                      oracle_chain_counts, oracle_fixed_mask,
+                      oracle_hall_mobius, oracle_sparse_rank,
+                      partition_lattice, random_poset, transform_payload)
 from wreathcalc import posets, theorems
 from wreathcalc.dowling import build_family
 from wreathcalc.groups import cyclic_group, symmetric_group
@@ -20,7 +23,8 @@ from wreathcalc.theorems import lefschetz_two_routes, verify
 from wreathcalc.wreath import (enumerate_class_types, induced_point_perm,
                                type_representative)
 
-C1, C2, S3 = cyclic_group(1), cyclic_group(2), symmetric_group(3)
+C1, C2, C3, S3 = (cyclic_group(1), cyclic_group(2), cyclic_group(3),
+                  symmetric_group(3))
 
 
 def homology_by_oracle(P, monkeypatch):
@@ -52,6 +56,19 @@ def test_chain_counts_match_listed_chains():
     for P in list(random_posets()) + list(fixed_subposets()):
         assert chain_counts(P) == {k: len(v) for k, v in P.chains().items()}
     assert chain_counts(Poset.from_masks([], [])) == {}
+
+
+def test_packed_chain_counts_match_the_level_oracle():
+    # tall posets: fields too narrow for C(m, k) would carry into the next
+    rng = random.Random(15)
+    tall = [chain_poset(64), boolean_lattice(6), partition_lattice(5)]
+    for P in tall + list(random_posets()):
+        masks = [None, (1 << P.n) - 1] + [rng.getrandbits(P.n)
+                                          for _ in range(3)]
+        for W in masks:
+            assert chain_counts(P, W) == oracle_chain_counts(P, W)
+    assert chain_counts(chain_poset(64)) == {k: comb(64, k)
+                                             for k in range(1, 65)}
 
 
 def test_hall_count_matches_listing_oracle():
@@ -135,3 +152,25 @@ def test_traces_build_no_subposet_and_no_permutation(monkeypatch):
     P = build_family("q", C2, 2).poset
     with pytest.raises(AssertionError):
         fixed_subposet(P, list(range(P.n)))
+
+
+def test_poset_terms_evaluate_each_fixed_set_once(monkeypatch):
+    calls = {"equivariant_char_poly": 0, "lefschetz_top_trace": 0}
+    for name in calls:
+        def counted(P, W, name=name, original=getattr(theorems, name)):
+            calls[name] += 1
+            return original(P, W)
+
+        monkeypatch.setattr(theorems, name, counted)
+    assert verify("hanlon", C3, 4, force=True).ok
+    assert verify("whitney_hanlon", C3, 4, force=True).ok
+    distinct = types = 0
+    for n in range(1, 5):
+        fp = build_family("q", C3, n)
+        reps = [type_representative(C3, tau)
+                for tau in enumerate_class_types(C3, n)]
+        distinct += len({oracle_fixed_mask(action_of(fp, w)) for w in reps})
+        types += len(reps)
+    assert calls == {"equivariant_char_poly": distinct,
+                     "lefschetz_top_trace": distinct}
+    assert distinct < types

@@ -1,5 +1,6 @@
 """Identity catalogue: closed-form oracles, brute-force agreement, reports."""
 
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import (dihedral_8, oracle_bn_closed, oracle_one_mod_d,
                       oracle_whitney_1modd, quaternion_8, relabeled)
 from wreathcalc import theorems
+from wreathcalc.dowling import build_family
 from wreathcalc.groups import cyclic_group, group_from_table, symmetric_group
 from wreathcalc.plethysm import (average_p1, compose, exp_compose,
                                  sech_series, tanh_series, uni_analytic)
@@ -438,6 +440,21 @@ def test_poset_cache_ignores_d_for_families_without_one():
     posets = [_acted_poset("q", C2, 3, d)[0] for d in (None, 3, 2)]
     assert posets[1] is posets[0] and posets[2] is posets[0]
     assert len(theorems._poset_cache) == 1
+
+
+def test_bn_reuses_the_q1modd_posets(monkeypatch):
+    built = []
+
+    def watch(family, G, n, d=None, validate=False):
+        built.append((family, n, d))
+        return build_family(family, G, n, d, validate)
+
+    monkeypatch.setattr(theorems, "build_family", watch)
+    monkeypatch.setattr(theorems, "_poset_cache", OrderedDict())
+    assert verify("whitney_1modd", C2, 6, d=2, force=True).ok
+    assert verify("bn_whitney", C2, 6, force=True).ok
+    assert built == [("q1modd", n, 2) for n in range(1, 7)]
+    assert len(theorems._poset_cache) == 6
 
 
 def test_theorem_id_catalogue_is_complete():
