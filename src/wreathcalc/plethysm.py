@@ -29,9 +29,9 @@ from math import factorial, lcm
 
 from .groups import FiniteGroup, class_power, cyclic_group
 from .series import (
-    GradedSeries, Mono, ONE_MONO, SeriesError, UniSeries, _mul_by_degree,
-    exp_arg, exp_of, exp_series, mod_filter, mono_degree, one, p, pow1p_of,
-    zero,
+    GradedSeries, Mono, ONE_MONO, SeriesError, UniSeries, _int_slices,
+    _mul_by_degree, exp_arg, exp_of, exp_series, mod_filter, mono_degree, one,
+    p, pow1p_of, zero,
 )
 
 
@@ -43,8 +43,10 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     their variable sequences (p_1^2 p_2 reads p_1, p_1, p_2); a stack holds
     the images of the current sequence's prefixes, so monomials sharing a
     prefix share its product, and the stack never holds more than N + 1
-    images.  Coefficients and t-shifts are applied while adding each image
-    into one result dict.
+    images.  Images and prefix products are the series kernel's integer
+    slices.  Coefficients and t-shifts are applied while adding each image
+    into one dict of integer numerators over a running lcm of the
+    denominators; a Fraction is built once per result term.
     """
     left_mode = f.group.order == 1
     right_mode = g.group.order == 1
@@ -55,39 +57,36 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     out_group = g.group if left_mode else f.group
     N = min(f.trunc, g.trunc)
     t_den = lcm(f.t_den, g.t_den)
-    f_scale = t_den // f.t_den
-    g_scale = t_den // g.t_den
-    g_terms = [(mono, mono_degree(mono), t_num * g_scale, coeff)
-               for (mono, t_num), coeff in g.terms.items()]
+    g_slices = _int_slices(g.with_t_den(t_den).terms)
 
-    def image(i: int, c: int) -> dict[int, dict]:
-        """p_i(c) o g truncated to N, split by degree, t in units of 1/t_den.
+    def image(i: int, c: int) -> dict[int, tuple]:
+        """p_i(c) o g truncated to N, as integer slices, t in units of 1/t_den.
 
-        (j, cid) -> (i j, cid) and (j, 0) -> (i j, c^j) keep monomials sorted.
+        (j, cid) -> (i j, cid) and (j, 0) -> (i j, c^j) keep monomials sorted
+        and distinct.
         """
-        out: dict[int, dict] = {}
-        for mono, deg, t_num, coeff in g_terms:
-            if i * deg > N:
-                continue
-            if left_mode:
-                new_mono = tuple(((i * j, cid), e) for (j, cid), e in mono)
-            else:
-                new_mono = tuple(((i * j, class_power(f.group, c, j)), e)
-                                 for (j, _z), e in mono)
-            out.setdefault(i * deg, {})[(new_mono, i * t_num)] = coeff
+        out: dict[int, tuple] = {}
+        for deg, (den, part) in g_slices.items():
+            if i * deg <= N:
+                out[i * deg] = (den, {
+                    (tuple(((i * j, cid if left_mode
+                             else class_power(f.group, c, j)), e)
+                           for (j, cid), e in mono), i * t_num): num
+                    for (mono, t_num), num in part.items()})
         return out
 
     words = []
-    for (mono, t_num), coeff in f.terms.items():
+    for (mono, t_num), coeff in f.with_t_den(t_den).terms.items():
         if mono_degree(mono) <= N:
             word = tuple(v for v, e in mono for _ in range(e))
-            words.append((word, t_num * f_scale, coeff))
+            words.append((word, t_num, coeff))
     words.sort(key=lambda w: w[0])
 
-    images: dict[tuple[int, int], dict[int, dict]] = {}
-    stack = [{0: {(ONE_MONO, 0): Fraction(1)}}]   # stack[j]: image of word[:j]
+    images: dict[tuple[int, int], dict[int, tuple]] = {}
+    stack = [{0: (1, {(ONE_MONO, 0): 1})}]   # stack[j]: image of word[:j]
     prev: tuple = ()
-    acc: dict[tuple[Mono, int], Fraction] = {}
+    common = 1
+    acc: dict[tuple[Mono, int], int] = {}   # numerators over common
     for word, t_shift, coeff in words:
         j = 0
         while j < len(prev) and j < len(word) and prev[j] == word[j]:
@@ -99,13 +98,20 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
                 img = images[v] = image(*v)
             stack.append(_mul_by_degree(stack[-1], img, N))
         prev = word
-        for part in stack[-1].values():
+        for den, part in stack[-1].values():
+            den *= coeff.denominator
+            if common % den:
+                grow = lcm(common, den) // common
+                for k in acc:
+                    acc[k] *= grow
+                common *= grow
+            scale = coeff.numerator * (common // den)
             for (m, t), c in part.items():
                 k = (m, t + t_shift)
-                prev_c = acc.get(k)
-                acc[k] = coeff * c if prev_c is None else prev_c + coeff * c
+                acc[k] = acc.get(k, 0) + scale * c
     return GradedSeries._trusted(out_group, N, t_den,
-                                 {k: c for k, c in acc.items() if c})
+                                 {k: Fraction(c, common)
+                                  for k, c in acc.items() if c})
 
 
 def exp_compose(G: FiniteGroup, N: int, g: GradedSeries) -> GradedSeries:

@@ -12,8 +12,13 @@ is representable exactly without symbolic roots).  The zero series has an
 empty term dict; no zero coefficients are ever stored; no stored monomial
 exceeds degree N.  All coefficients are exact Fractions -- there is no
 floating point anywhere in this package.  The public constructor enforces
-these invariants; the ring operations build term dicts that already satisfy
-them and wrap them with GradedSeries._trusted, which does not check again.
+these invariants and refuses values that are not rational; the ring
+operations build term dicts that already satisfy them and wrap them with
+GradedSeries._trusted, which does not check again.
+
+Every product runs through one kernel on integer slices: the terms of one
+degree as integer numerators over one common denominator.  Fractions are
+built only at the GradedSeries boundary, once per output term.
 
 Operations never extend the truncation degree: combining two series
 truncates to the smaller N, and t denominators are refined to the lcm.
@@ -27,7 +32,7 @@ standard Maclaurin series live in plethysm.uni_analytic().
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from .groups import FiniteGroup, cyclic_group
@@ -65,11 +70,22 @@ def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a is b or a.table == b.table
 
 
+def _rational(q) -> Fraction:
+    """q as a Fraction; floats and other values that are not rational are refused."""
+    from numbers import Rational    # loaded with fractions already
+    if not isinstance(q, Rational):
+        raise SeriesError("coefficients must be exact rationals, not %r" % (q,))
+    return Fraction(q)
+
+
 # -- term dicts split by monomial degree ----------------------------------------
 #
-# The fast paths work on "slices": plain term dicts holding one monomial
-# degree each, kept in a {degree: slice} map.  Products of slices need no
-# truncation test per term, and homogeneous recurrences read slices directly.
+# The fast paths work on "slices": the terms of one monomial degree each, kept
+# in a {degree: slice} map.  Products of slices need no truncation test per
+# term, and homogeneous recurrences read slices directly.  The product kernel
+# carries integer slices (den, {(mono, t_num): num}), coefficients num / den
+# over one den > 0 per slice.  Keyed by the term dict's own keys, a slice
+# makes no new tuple per term.
 
 def _by_degree(terms: dict) -> dict[int, dict]:
     out: dict[int, dict] = {}
@@ -83,33 +99,53 @@ def _by_degree(terms: dict) -> dict[int, dict]:
     return out
 
 
-def _mul_into(acc: dict, a: dict, b: dict, w: Fraction = Fraction(1)) -> None:
-    """acc += w * a * b for term dicts a and b; may leave zeros in acc."""
-    for (ma, ta), ca in a.items():
-        ca = ca * w
-        for (mb, tb), cb in b.items():
-            k = (mono_mul(ma, mb), ta + tb)
-            prev = acc.get(k)
-            acc[k] = ca * cb if prev is None else prev + ca * cb
+def _int_slices(terms: dict) -> dict[int, tuple[int, dict]]:
+    """A Fraction term dict as integer slices by degree, each over the lcm of its denominators."""
+    parts = _by_degree(terms)
+    for d, part in parts.items():
+        den = lcm(*[c.denominator for c in part.values()])
+        parts[d] = (den, {k: c.numerator * (den // c.denominator)
+                          for k, c in part.items()})
+    return parts
 
 
-def _nonzero(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if c}
+def _sum_of_products(products: list) -> tuple[int, dict]:
+    """The integer slice sum of w A B over products [(w, A, B), ...].
+
+    w is an int or a Fraction, A and B are integer slices.  Each pair of terms
+    costs one integer multiply-add; zeros are dropped and one gcd pass
+    reduces the common denominator.
+    """
+    den = lcm(*[w.denominator * a[0] * b[0] for w, a, b in products])
+    acc: dict = {}
+    get = acc.get
+    for w, (a_den, a_part), (b_den, b_part) in products:
+        scale = w.numerator * (den // (w.denominator * a_den * b_den))
+        for (ma, ta), na in a_part.items():
+            na *= scale
+            for (mb, tb), nb in b_part.items():
+                k = (mono_mul(ma, mb), ta + tb)
+                acc[k] = get(k, 0) + na * nb
+    g = gcd(den, *acc.values())
+    return den // g, {k: c // g for k, c in acc.items() if c}
 
 
-def _mul_by_degree(a: dict[int, dict], b: dict[int, dict],
-                   n: int) -> dict[int, dict]:
-    """Product of two degree-split series, truncated at degree n, zeros dropped."""
-    out: dict[int, dict] = {}
+def _fractions(slices) -> dict:
+    """The term dict of integer slices: one Fraction per term."""
+    return {k: Fraction(num, den)
+            for den, part in slices for k, num in part.items()}
+
+
+def _mul_by_degree(a: dict[int, tuple], b: dict[int, tuple],
+                   n: int) -> dict[int, tuple]:
+    """Product of two integer-slice maps, truncated at degree n, empty slices dropped."""
+    products: dict[int, list] = {}
     for da, part_a in a.items():
         for db, part_b in b.items():
-            if da + db > n:
-                continue
-            acc = out.get(da + db)
-            if acc is None:
-                acc = out[da + db] = {}
-            _mul_into(acc, part_a, part_b)
-    return {d: kept for d, acc in out.items() if (kept := _nonzero(acc))}
+            if da + db <= n:
+                products.setdefault(da + db, []).append((1, part_a, part_b))
+    return {d: part for d, prods in products.items()
+            if (part := _sum_of_products(prods))[1]}
 
 
 class GradedSeries:
@@ -129,9 +165,11 @@ class GradedSeries:
         clean: dict[tuple[Mono, int], Fraction] = {}
         if terms:
             for (mono, t_num), coeff in terms.items():
+                if type(coeff) is not Fraction:
+                    coeff = _rational(coeff)
                 if coeff == 0 or mono_degree(mono) > trunc:
                     continue
-                clean[(mono, t_num)] = Fraction(coeff)
+                clean[(mono, t_num)] = coeff
         self.terms = clean
 
     @classmethod
@@ -222,18 +260,16 @@ class GradedSeries:
         return self.add(other.neg())
 
     def scale(self, q) -> "GradedSeries":
-        q = Fraction(q)
+        q = _rational(q)
         terms = {k: c * q for k, c in self.terms.items()} if q else {}
         return GradedSeries._trusted(self.group, self.trunc, self.t_den, terms)
 
     def mul(self, other: "GradedSeries") -> "GradedSeries":
         a, b, n = self._align(other)
         # split by monomial degree so truncation prunes whole blocks
-        acc: dict[tuple[Mono, int], Fraction] = {}
-        for part in _mul_by_degree(_by_degree(a.terms), _by_degree(b.terms),
-                                   n).values():
-            acc.update(part)
-        return GradedSeries._trusted(self.group, n, a.t_den, acc)
+        parts = _mul_by_degree(_int_slices(a.terms), _int_slices(b.terms), n)
+        return GradedSeries._trusted(self.group, n, a.t_den,
+                                     _fractions(parts.values()))
 
     def power(self, k: int) -> "GradedSeries":
         if k < 0:
@@ -255,7 +291,8 @@ class GradedSeries:
             raise NotInvertibleError(
                 "degree-0 part must be a single nonzero t-free scalar to invert")
         # self = c0 (1 + F); (1 + F)^-1 has n P_n = -n sum_k F_k P_{n-k}
-        return _euler(self.scale(1 / c0), lambda n, k: -n).scale(1 / c0)
+        f = self.scale(1 / c0)
+        return _euler_series(f, _euler(f, lambda n, k: -n)).scale(1 / c0)
 
     # -- t handling ----------------------------------------------------------
 
@@ -281,7 +318,7 @@ class GradedSeries:
 
     def substitute_t(self, s) -> "GradedSeries":
         """Set t^(1/t_den) to the rational s, collapsing t into the coefficients."""
-        s = Fraction(s)
+        s = _rational(s)
         out: dict[tuple[Mono, int], Fraction] = {}
         for (m, t), c in self.terms.items():
             k = (m, 0)
@@ -355,7 +392,7 @@ def one(G: FiniteGroup, N: int, t_den: int = 1) -> GradedSeries:
     return GradedSeries(G, N, t_den, {(ONE_MONO, 0): Fraction(1)})
 
 def const(G: FiniteGroup, N: int, q, t_den: int = 1) -> GradedSeries:
-    return GradedSeries(G, N, t_den, {(ONE_MONO, 0): Fraction(q)})
+    return GradedSeries(G, N, t_den, {(ONE_MONO, 0): q})
 
 def p(G: FiniteGroup, N: int, i: int, class_id: int, t_den: int = 1) -> GradedSeries:
     """The variable p_i(c) as a series."""
@@ -378,8 +415,8 @@ def _require_constant_free(f: GradedSeries, what: str) -> None:
         raise SeriesError("%s needs a series with no degree-0 part" % what)
 
 
-def _euler(f: GradedSeries, weight: Callable[[int, int], Fraction]) -> GradedSeries:
-    """The series R with R_0 = 1 and n R_n = sum_{k=1..n} weight(n, k) F_k R_{n-k}.
+def _euler(f: GradedSeries, weight: Callable[[int, int], Fraction]) -> list:
+    """Integer slices R_0..R_N: R_0 = 1, n R_n = sum_{k=1..n} weight(n, k) F_k R_{n-k}.
 
     F_k is the degree-k slice of f; f's degree-0 part is ignored.  Applying
     the degree derivation D (a monomial of degree n goes to n times itself)
@@ -388,26 +425,27 @@ def _euler(f: GradedSeries, weight: Callable[[int, int], Fraction]) -> GradedSer
     such recurrences, so each R_n costs one pass of slice products and no
     full series product is formed (Brent and Kung, JACM 1978).
     """
-    F = _by_degree(f.terms)
-    R: list[dict] = [{(ONE_MONO, 0): Fraction(1)}]
+    F = _int_slices(f.terms)
+    R = [(1, {(ONE_MONO, 0): 1})]
     for n in range(1, f.trunc + 1):
-        acc: dict = {}
+        products = []
         for k in range(1, n + 1):
-            if k in F and R[n - k]:
+            if k in F and R[n - k][1]:
                 w = Fraction(weight(n, k), n)
                 if w:
-                    _mul_into(acc, F[k], R[n - k], w)
-        R.append(_nonzero(acc))
-    terms: dict = {}
-    for part in R:
-        terms.update(part)
-    return GradedSeries._trusted(f.group, f.trunc, f.t_den, terms)
+                    products.append((w, F[k], R[n - k]))
+        R.append(_sum_of_products(products))
+    return R
+
+
+def _euler_series(f: GradedSeries, slices: list) -> GradedSeries:
+    return GradedSeries._trusted(f.group, f.trunc, f.t_den, _fractions(slices))
 
 
 def exp_of(f: GradedSeries) -> GradedSeries:
     """exp(f) truncated, for constant-free f: n E_n = sum_k k F_k E_{n-k}."""
     _require_constant_free(f, "exp")
-    return _euler(f, lambda n, k: k)
+    return _euler_series(f, _euler(f, lambda n, k: k))
 
 
 def log1p_of(f: GradedSeries) -> GradedSeries:
@@ -416,16 +454,15 @@ def log1p_of(f: GradedSeries) -> GradedSeries:
     With S = 1 + log(1 + f): n S_n = n F_n - sum_{k<n} (n - k) F_k S_{n-k}.
     """
     _require_constant_free(f, "log1p")
-    s = _euler(f, lambda n, k: n if k == n else k - n)
-    del s.terms[(ONE_MONO, 0)]
-    return s
+    S = _euler(f, lambda n, k: n if k == n else k - n)
+    return _euler_series(f, S[1:])
 
 
 def pow1p_of(f: GradedSeries, alpha) -> GradedSeries:
     """(1 + f)^alpha for constant-free f: n P_n = sum_k (alpha k - (n - k)) F_k P_{n-k}."""
     _require_constant_free(f, "pow1p")
-    alpha = Fraction(alpha)
-    return _euler(f, lambda n, k: alpha * k - (n - k))
+    alpha = _rational(alpha)
+    return _euler_series(f, _euler(f, lambda n, k: alpha * k - (n - k)))
 
 
 # -- the named global series ---------------------------------------------------

@@ -20,6 +20,7 @@ sech_series and of the dense E itself.
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from wreathcalc.dowling import FamilyError
 from wreathcalc.groups import class_power, cyclic_group, group_from_table
@@ -27,7 +28,8 @@ from wreathcalc.plethysm import (arcsinh_series, compose, plethystic_inverse,
                                  sech_series)
 from wreathcalc.posets import Poset, PosetError, _iter_bits
 from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, const,
-                               exp_series, mod_filter, mono_degree, one, zero)
+                               exp_series, mod_filter, mono_degree, mono_mul,
+                               one, zero)
 from wreathcalc.wreath import induced_point_perm
 
 
@@ -105,6 +107,26 @@ def bell_number(n):
 def xpow(n):
     """The monomial x^n of a one-variable series, x = p_1 over the trivial group."""
     return (((1, 0), n),) if n else ONE_MONO
+
+
+def oracle_mul(a, b):
+    """a * b one pair of terms at a time, each pair a Fraction multiply-add.
+
+    This is the product the series core used before its integer-slice
+    kernel.  Routed in as GradedSeries.mul, it makes the other series
+    oracles independent of that kernel.
+    """
+    den = lcm(a.t_den, b.t_den)
+    a, b = a.with_t_den(den), b.with_t_den(den)
+    n = min(a.trunc, b.trunc)
+    acc = {}
+    for (ma, ta), ca in a.terms.items():
+        for (mb, tb), cb in b.terms.items():
+            mono = mono_mul(ma, mb)
+            if mono_degree(mono) <= n:
+                k = (mono, ta + tb)
+                acc[k] = acc.get(k, Fraction(0)) + ca * cb
+    return GradedSeries(a.group, n, den, acc)
 
 
 def oracle_compose(f, g):
@@ -230,6 +252,8 @@ def assert_clean(s):
     for (mono, t_num), c in s.terms.items():
         assert type(c) is Fraction, (mono, t_num, c)
         assert c != 0, (mono, t_num)
+        assert c.denominator > 0, (mono, t_num, c)
+        assert gcd(c.numerator, c.denominator) == 1, (mono, t_num, c)
         assert mono_degree(mono) <= s.trunc, (mono, s.trunc)
         assert list(mono) == sorted(mono), mono
         assert len({v for v, _e in mono}) == len(mono), mono

@@ -8,16 +8,19 @@ the term-dict invariants that GradedSeries._trusted takes on trust.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_clean, oracle_compose, oracle_exp,
-                      oracle_invert, oracle_log1p, oracle_pow1p)
+                      oracle_invert, oracle_log1p, oracle_mul, oracle_pow1p)
 from wreathcalc.groups import cyclic_group, symmetric_group
 from wreathcalc.plethysm import _mod_inverse, compose, exp_compose
-from wreathcalc.series import (GradedSeries, exp_arg, exp_of, exp_series,
-                               l_series, log1p_of, mod_filter, mono_degree,
+from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, const,
+                               exp_arg, exp_of, exp_series, l_series,
+                               log1p_of, mod_filter, mono_degree,
                                natural_spec, one, p, pow1p_of)
 
 C1 = cyclic_group(1)
@@ -246,3 +249,134 @@ def test_law_invert_is_an_involution(f, c0):
     back = inv.invert()
     assert_clean(back)
     assert back == f
+
+
+# -- the integer-slice kernel against the pairwise Fraction product -------------
+#
+# The oracles above multiply through GradedSeries.mul, which runs on the same
+# integer-slice kernel as the fast paths.  The `pairwise` fixture evaluates
+# them with GradedSeries.mul routed through oracle_mul instead, so both sides
+# share no product code.  Coefficient denominators are distinct primes, so the
+# lcm a slice is carried over grows with every product.
+
+PRIMES = (7, 11, 13, 101)
+
+
+def prime_series(G, N, rng, t_den=1, nterms=6, constant_free=True):
+    """random_series's terms with numerators in -9..9 over the primes above."""
+    keys = random_series(G, N, rng, t_den, nterms, constant_free=constant_free)
+    return GradedSeries(G, N, t_den,
+                        {k: Fraction(rng.randrange(1, 10) * rng.choice((-1, 1)),
+                                     rng.choice(PRIMES))
+                         for k in keys.terms})
+
+
+@pytest.fixture
+def pairwise(monkeypatch):
+    """Call fn(*args) with GradedSeries.mul routed through oracle_mul."""
+    def run(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedSeries, "mul", oracle_mul)
+            return fn(*args)
+    return run
+
+
+def test_mul_matches_the_pairwise_product():
+    rng = random.Random(20261020)
+    for G in GROUPS:
+        for t_den_a, t_den_b in ((1, 1), (2, 3), (3, 2)):
+            for _ in range(3):
+                a = prime_series(G, 6, rng, t_den_a, constant_free=False)
+                b = prime_series(G, 5, rng, t_den_b, constant_free=False)
+                got = a * b
+                assert_clean(got)
+                assert got == oracle_mul(a, b)
+
+
+def test_analytic_helpers_match_pairwise_oracles(pairwise):
+    rng = random.Random(20261021)
+    for G in GROUPS:
+        for t_den in (1, 2, 3):
+            f = prime_series(G, 5, rng, t_den)
+            for got, oracle, args in (
+                    (exp_of(f), oracle_exp, (f,)),
+                    (log1p_of(f), oracle_log1p, (f,)),
+                    *((pow1p_of(f, a), oracle_pow1p, (f, a))
+                      for a in ALPHAS + (Fraction(5, 101),))):
+                assert_clean(got)
+                assert got == pairwise(oracle, *args)
+
+
+def test_invert_matches_the_pairwise_oracle(pairwise):
+    rng = random.Random(20261022)
+    for G in GROUPS:
+        for t_den in (2, 3):
+            for c0 in (Fraction(1), Fraction(-7, 11)):
+                f = prime_series(G, 5, rng, t_den) + one(G, 5).scale(c0)
+                inv = f.invert()
+                assert_clean(inv)
+                assert inv == pairwise(oracle_invert, f)
+
+
+def test_compose_matches_the_pairwise_oracle(pairwise):
+    rng = random.Random(20261023)
+    for G in GROUPS:
+        for t_den_f, t_den_g in ((2, 3), (3, 2)):
+            # right mode: f over G, g over the trivial group
+            f = prime_series(G, 6, rng, t_den_f, constant_free=False)
+            g = prime_series(C1, 5, rng, t_den_g, nterms=3)
+            h = compose(f, g)
+            assert_clean(h)
+            assert h == pairwise(oracle_compose, f, g)
+            # left mode: f over the trivial group, g over G
+            f = prime_series(C1, 6, rng, t_den_f, constant_free=False)
+            g = prime_series(G, 6, rng, t_den_g, nterms=3)
+            h = compose(f, g)
+            assert_clean(h)
+            assert h == pairwise(oracle_compose, f, g)
+
+
+def test_a_product_that_cancels_a_whole_degree():
+    # (1 + f)(1 - f) = 1 - f^2: every product landing in degree 1 cancels
+    rng = random.Random(20261024)
+    for G in GROUPS:
+        for t_den in (1, 2, 3):
+            N = 5
+            f = (prime_series(G, N, rng, t_den)
+                 + p(G, N, 1, G.identity_class, t_den).scale(Fraction(3, 7)))
+            got = (one(G, N) + f) * (one(G, N) - f)
+            assert_clean(got)
+            assert got.homogeneous_part(1).is_zero()
+            assert got == oracle_mul(one(G, N) + f, one(G, N) - f)
+            assert got == one(G, N) - oracle_mul(f, f)
+
+
+def test_pow1p_where_the_recurrence_weights_vanish():
+    # alpha = 1 zeroes the weights at k = n / 2, alpha = 0 those at k = n
+    rng = random.Random(20261025)
+    for G in GROUPS:
+        for t_den in (1, 2, 3):
+            f = prime_series(G, 6, rng, t_den)
+            once = pow1p_of(f, 1)
+            assert_clean(once)
+            assert once == one(G, 6) + f
+            assert pow1p_of(f, 0) == one(G, 6)
+
+
+def test_series_entry_points_refuse_values_that_are_not_rational():
+    x = one(C1, 2)
+    for bad in (0.1, 0.5, 0.0, Decimal("0.5"), "1/2", 1j):
+        with pytest.raises(SeriesError):
+            const(C1, 2, bad)
+        with pytest.raises(SeriesError):
+            GradedSeries(C1, 2, 1, {(ONE_MONO, 0): bad})
+        with pytest.raises(SeriesError):
+            x.scale(bad)
+        with pytest.raises(SeriesError):
+            x.substitute_t(bad)
+        with pytest.raises(SeriesError):
+            pow1p_of(p(C1, 2, 1, 0), bad)
+    # ints and Fractions still go through, and come back as Fractions
+    assert const(C1, 2, 3).terms == {(ONE_MONO, 0): Fraction(3)}
+    assert x.scale(Fraction(1, 3)) == const(C1, 2, Fraction(1, 3))
+    assert_clean(GradedSeries(C1, 2, 1, {(ONE_MONO, 0): 2}))
