@@ -29,9 +29,9 @@ from math import factorial, lcm
 
 from .groups import FiniteGroup, class_power, cyclic_group
 from .series import (
-    GradedSeries, Mono, ONE_MONO, SeriesError, UniSeries, _int_slices,
-    _mul_by_degree, exp_arg, exp_of, exp_series, mod_filter, mono_degree, one,
-    p, pow1p_of, zero,
+    GradedSeries, Mono, SeriesError, UniSeries, _Codec, _by_degree,
+    _mul_by_degree, _product, _rational, exp_arg, exp_of, exp_series,
+    mod_filter, mono_degree, p, pow1p_of, zero,
 )
 
 
@@ -43,9 +43,9 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     their variable sequences (p_1^2 p_2 reads p_1, p_1, p_2); a stack holds
     the images of the current sequence's prefixes, so monomials sharing a
     prefix share its product, and the stack never holds more than N + 1
-    images.  Images and prefix products are the series kernel's integer
-    slices.  Coefficients and t-shifts are applied while adding each image
-    into one dict of integer numerators over a running lcm of the
+    images.  Images and prefix products are the series kernel's packed
+    integer slices.  Coefficients and t-shifts are applied while adding each
+    image into one dict of integer numerators over a running lcm of the
     denominators; a Fraction is built once per result term.
     """
     left_mode = f.group.order == 1
@@ -57,7 +57,8 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     out_group = g.group if left_mode else f.group
     N = min(f.trunc, g.trunc)
     t_den = lcm(f.t_den, g.t_den)
-    g_slices = _int_slices(g.with_t_den(t_den).terms)
+    codec = _Codec(out_group, N)
+    g_parts = _by_degree(g.with_t_den(t_den).terms)
 
     def image(i: int, c: int) -> dict[int, tuple]:
         """p_i(c) o g truncated to N, as integer slices, t in units of 1/t_den.
@@ -65,28 +66,25 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
         (j, cid) -> (i j, cid) and (j, 0) -> (i j, c^j) keep monomials sorted
         and distinct.
         """
-        out: dict[int, tuple] = {}
-        for deg, (den, part) in g_slices.items():
-            if i * deg <= N:
-                out[i * deg] = (den, {
-                    (tuple(((i * j, cid if left_mode
-                             else class_power(f.group, c, j)), e)
-                           for (j, cid), e in mono), i * t_num): num
-                    for (mono, t_num), num in part.items()})
-        return out
+        return codec.slices({
+            (tuple(((i * j, cid if left_mode
+                     else class_power(f.group, c, j)), e)
+                   for (j, cid), e in mono), i * t_num): coeff
+            for deg, part in g_parts.items() if i * deg <= N
+            for (mono, t_num), coeff in part.items()})
 
     words = []
     for (mono, t_num), coeff in f.with_t_den(t_den).terms.items():
         if mono_degree(mono) <= N:
             word = tuple(v for v, e in mono for _ in range(e))
-            words.append((word, t_num, coeff))
+            words.append((word, t_num << codec.shift, coeff))
     words.sort(key=lambda w: w[0])
 
     images: dict[tuple[int, int], dict[int, tuple]] = {}
-    stack = [{0: (1, {(ONE_MONO, 0): 1})}]   # stack[j]: image of word[:j]
+    stack = [{0: (1, {0: 1})}]   # stack[j]: image of word[:j]
     prev: tuple = ()
     common = 1
-    acc: dict[tuple[Mono, int], int] = {}   # numerators over common
+    acc: dict[int, int] = {}   # numerators over common, by packed key
     for word, t_shift, coeff in words:
         j = 0
         while j < len(prev) and j < len(word) and prev[j] == word[j]:
@@ -106,12 +104,11 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
                     acc[k] *= grow
                 common *= grow
             scale = coeff.numerator * (common // den)
-            for (m, t), c in part.items():
-                k = (m, t + t_shift)
+            for k, c in part.items():
+                k += t_shift
                 acc[k] = acc.get(k, 0) + scale * c
     return GradedSeries._trusted(out_group, N, t_den,
-                                 {k: Fraction(c, common)
-                                  for k, c in acc.items() if c})
+                                 codec.fractions([(common, acc)]))
 
 
 def exp_compose(G: FiniteGroup, N: int, g: GradedSeries) -> GradedSeries:
@@ -186,14 +183,13 @@ def F_coefficient(G: FiniteGroup, l: int, class_id: int) -> Fraction:
 
 def product_form_inverse(G: FiniteGroup, N: int) -> GradedSeries:
     """The product over l, c of (1 + p_l(c))^(F(l, c)), truncated."""
-    acc = one(G, N)
+    factors = []
     for l in range(1, N + 1):
         for cl in G.classes:
             expo = F_coefficient(G, l, cl.class_id)
-            if expo == 0:
-                continue
-            acc = acc.mul(pow1p_of(p(G, N, l, cl.class_id), expo))
-    return acc
+            if expo:
+                factors.append(pow1p_of(p(G, N, l, cl.class_id), expo))
+    return _product(G, N, 1, factors)
 
 
 def sech_series(G: FiniteGroup, N: int) -> GradedSeries:
@@ -250,7 +246,7 @@ def uni_analytic(name: str, N: int, alpha=None) -> GradedSeries:
     if name == "pow1p":
         if alpha is None:
             raise SeriesError("pow1p needs the exponent alpha")
-        alpha = Fraction(alpha)
+        alpha = _rational(alpha)
         coeffs = {}
         c = Fraction(1)
         for n in range(N + 1):

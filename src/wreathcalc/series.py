@@ -17,8 +17,11 @@ operations build term dicts that already satisfy them and wrap them with
 GradedSeries._trusted, which does not check again.
 
 Every product runs through one kernel on integer slices: the terms of one
-degree as integer numerators over one common denominator.  Fractions are
-built only at the GradedSeries boundary, once per output term.
+degree as integer numerators over one common denominator, each term's
+monomial and t exponent packed into one int, so the product of two terms
+is one integer add.  The packing is internal to each call; Fractions and
+Mono tuples are built only at the GradedSeries boundary, once per output
+term, and a chain of products crosses it once, at the end.
 
 Operations never extend the truncation degree: combining two series
 truncates to the smaller N, and t denominators are refined to the lcm.
@@ -55,17 +58,6 @@ def mono_degree(mono: Mono) -> int:
     return sum(i * e for (i, _c), e in mono)
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for v, e in b:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
-
-
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a is b or a.table == b.table
 
@@ -83,9 +75,8 @@ def _rational(q) -> Fraction:
 # The fast paths work on "slices": the terms of one monomial degree each, kept
 # in a {degree: slice} map.  Products of slices need no truncation test per
 # term, and homogeneous recurrences read slices directly.  The product kernel
-# carries integer slices (den, {(mono, t_num): num}), coefficients num / den
-# over one den > 0 per slice.  Keyed by the term dict's own keys, a slice
-# makes no new tuple per term.
+# carries integer slices (den, {key: num}), coefficients num / den over one
+# den > 0 per slice, each key a term (mono, t_num) packed into one int.
 
 def _by_degree(terms: dict) -> dict[int, dict]:
     out: dict[int, dict] = {}
@@ -99,41 +90,93 @@ def _by_degree(terms: dict) -> dict[int, dict]:
     return out
 
 
-def _int_slices(terms: dict) -> dict[int, tuple[int, dict]]:
-    """A Fraction term dict as integer slices by degree, each over the lcm of its denominators."""
-    parts = _by_degree(terms)
-    for d, part in parts.items():
-        den = lcm(*[c.denominator for c in part.values()])
-        parts[d] = (den, {k: c.numerator * (den // c.denominator)
-                          for k, c in part.items()})
-    return parts
+class _Codec:
+    """Terms of degree <= n over a group's classes packed into ints, for one call.
+
+    The exponent of p_i(c) takes bit field (i - 1) C + c of width
+    n.bit_length(), C the number of classes, and t_num sits above all the
+    fields: key = mono + (t_num << shift).  No exponent of a monomial of
+    degree <= n overflows its field, so the product of two terms is the sum
+    of their keys.  Decoded monomials, and their ((i, c), e) items, are
+    shared within the call.
+    """
+
+    __slots__ = ("n", "classes", "width", "shift", "monos", "items")
+
+    def __init__(self, group: FiniteGroup, n: int):
+        self.n = n
+        self.classes = group.num_classes
+        self.width = n.bit_length()
+        self.shift = self.width * n * self.classes
+        self.monos: dict[int, Mono] = {0: ONE_MONO}
+        self.items: dict[int, tuple[Var, int]] = {}
+
+    def slices(self, terms: dict) -> dict[int, tuple[int, dict]]:
+        """A Fraction term dict as integer slices by degree, each over the lcm of its denominators.
+
+        Terms above degree n, whose exponents need not fit the fields, are
+        dropped.
+        """
+        n, width, classes, shift = self.n, self.width, self.classes, self.shift
+        parts: dict[int, dict] = {}
+        for (mono, t), c in terms.items():
+            d = 0
+            key = t << shift
+            for (i, cl), e in mono:
+                d += i * e
+                key += e << width * ((i - 1) * classes + cl)
+            if d <= n:
+                part = parts.get(d)
+                if part is None:
+                    parts[d] = {key: c}
+                else:
+                    part[key] = c
+        for d, part in parts.items():
+            den = lcm(*[c.denominator for c in part.values()])
+            parts[d] = (den, {k: c.numerator * (den // c.denominator)
+                              for k, c in part.items()})
+        return parts
+
+    def fractions(self, slices) -> dict:
+        """The term dict of integer slices: one Fraction per nonzero term."""
+        shift, low = self.shift, (1 << self.shift) - 1
+        return {(self.mono(key & low), key >> shift): Fraction(num, den)
+                for den, part in slices for key, num in part.items() if num}
+
+    def mono(self, m: int) -> Mono:
+        """The monomial packed in m: the monomial of its lower fields, then its top field."""
+        mono = self.monos.get(m)
+        if mono is None:
+            f = (m.bit_length() - 1) // self.width
+            rest = m & ((1 << f * self.width) - 1)
+            item = self.items.get(m - rest)
+            if item is None:
+                item = self.items[m - rest] = (
+                    (f // self.classes + 1, f % self.classes),
+                    m >> f * self.width)
+            mono = self.monos[m] = self.mono(rest) + (item,)
+        return mono
 
 
 def _sum_of_products(products: list) -> tuple[int, dict]:
     """The integer slice sum of w A B over products [(w, A, B), ...].
 
-    w is an int or a Fraction, A and B are integer slices.  Each pair of terms
-    costs one integer multiply-add; zeros are dropped and one gcd pass
-    reduces the common denominator.
+    w is an int or a Fraction, A and B are integer slices of one codec.  Each
+    pair of terms costs one integer add and one multiply-add; zeros are
+    dropped and one gcd pass reduces the common denominator.
     """
     den = lcm(*[w.denominator * a[0] * b[0] for w, a, b in products])
     acc: dict = {}
     get = acc.get
     for w, (a_den, a_part), (b_den, b_part) in products:
         scale = w.numerator * (den // (w.denominator * a_den * b_den))
-        for (ma, ta), na in a_part.items():
+        for ka, na in a_part.items():
             na *= scale
-            for (mb, tb), nb in b_part.items():
-                k = (mono_mul(ma, mb), ta + tb)
+            for kb, nb in b_part.items():
+                k = ka + kb
                 acc[k] = get(k, 0) + na * nb
     g = gcd(den, *acc.values())
     return den // g, {k: c // g for k, c in acc.items() if c}
-
-
-def _fractions(slices) -> dict:
-    """The term dict of integer slices: one Fraction per term."""
-    return {k: Fraction(num, den)
-            for den, part in slices for k, num in part.items()}
 
 
 def _mul_by_degree(a: dict[int, tuple], b: dict[int, tuple],
@@ -146,6 +189,20 @@ def _mul_by_degree(a: dict[int, tuple], b: dict[int, tuple],
                 products.setdefault(da + db, []).append((1, part_a, part_b))
     return {d: part for d, prods in products.items()
             if (part := _sum_of_products(prods))[1]}
+
+
+def _product(group: FiniteGroup, n: int, t_den: int,
+             factors) -> "GradedSeries":
+    """The product of series over group and t_den, truncated at n.
+
+    The running product stays in integer slices; a Fraction is built once
+    per output term, at the end.
+    """
+    codec = _Codec(group, n)
+    acc = {0: (1, {0: 1})}
+    for f in factors:
+        acc = _mul_by_degree(acc, codec.slices(f.terms), n)
+    return GradedSeries._trusted(group, n, t_den, codec.fractions(acc.values()))
 
 
 class GradedSeries:
@@ -266,10 +323,7 @@ class GradedSeries:
 
     def mul(self, other: "GradedSeries") -> "GradedSeries":
         a, b, n = self._align(other)
-        # split by monomial degree so truncation prunes whole blocks
-        parts = _mul_by_degree(_int_slices(a.terms), _int_slices(b.terms), n)
-        return GradedSeries._trusted(self.group, n, a.t_den,
-                                     _fractions(parts.values()))
+        return _product(self.group, n, a.t_den, (a, b))
 
     def power(self, k: int) -> "GradedSeries":
         if k < 0:
@@ -291,8 +345,7 @@ class GradedSeries:
             raise NotInvertibleError(
                 "degree-0 part must be a single nonzero t-free scalar to invert")
         # self = c0 (1 + F); (1 + F)^-1 has n P_n = -n sum_k F_k P_{n-k}
-        f = self.scale(1 / c0)
-        return _euler_series(f, _euler(f, lambda n, k: -n)).scale(1 / c0)
+        return _euler(self.scale(1 / c0), lambda n, k: -n).scale(1 / c0)
 
     # -- t handling ----------------------------------------------------------
 
@@ -415,8 +468,9 @@ def _require_constant_free(f: GradedSeries, what: str) -> None:
         raise SeriesError("%s needs a series with no degree-0 part" % what)
 
 
-def _euler(f: GradedSeries, weight: Callable[[int, int], Fraction]) -> list:
-    """Integer slices R_0..R_N: R_0 = 1, n R_n = sum_{k=1..n} weight(n, k) F_k R_{n-k}.
+def _euler(f: GradedSeries, weight: Callable[[int, int], Fraction],
+           start: int = 0) -> GradedSeries:
+    """R_start + ... + R_N for R_0 = 1, n R_n = sum_{k=1..n} weight(n, k) F_k R_{n-k}.
 
     F_k is the degree-k slice of f; f's degree-0 part is ignored.  Applying
     the degree derivation D (a monomial of degree n goes to n times itself)
@@ -425,8 +479,9 @@ def _euler(f: GradedSeries, weight: Callable[[int, int], Fraction]) -> list:
     such recurrences, so each R_n costs one pass of slice products and no
     full series product is formed (Brent and Kung, JACM 1978).
     """
-    F = _int_slices(f.terms)
-    R = [(1, {(ONE_MONO, 0): 1})]
+    codec = _Codec(f.group, f.trunc)
+    F = codec.slices(f.terms)
+    R = [(1, {0: 1})]
     for n in range(1, f.trunc + 1):
         products = []
         for k in range(1, n + 1):
@@ -435,17 +490,14 @@ def _euler(f: GradedSeries, weight: Callable[[int, int], Fraction]) -> list:
                 if w:
                     products.append((w, F[k], R[n - k]))
         R.append(_sum_of_products(products))
-    return R
-
-
-def _euler_series(f: GradedSeries, slices: list) -> GradedSeries:
-    return GradedSeries._trusted(f.group, f.trunc, f.t_den, _fractions(slices))
+    return GradedSeries._trusted(f.group, f.trunc, f.t_den,
+                                 codec.fractions(R[start:]))
 
 
 def exp_of(f: GradedSeries) -> GradedSeries:
     """exp(f) truncated, for constant-free f: n E_n = sum_k k F_k E_{n-k}."""
     _require_constant_free(f, "exp")
-    return _euler_series(f, _euler(f, lambda n, k: k))
+    return _euler(f, lambda n, k: k)
 
 
 def log1p_of(f: GradedSeries) -> GradedSeries:
@@ -454,15 +506,14 @@ def log1p_of(f: GradedSeries) -> GradedSeries:
     With S = 1 + log(1 + f): n S_n = n F_n - sum_{k<n} (n - k) F_k S_{n-k}.
     """
     _require_constant_free(f, "log1p")
-    S = _euler(f, lambda n, k: n if k == n else k - n)
-    return _euler_series(f, S[1:])
+    return _euler(f, lambda n, k: n if k == n else k - n, 1)
 
 
 def pow1p_of(f: GradedSeries, alpha) -> GradedSeries:
     """(1 + f)^alpha for constant-free f: n P_n = sum_k (alpha k - (n - k)) F_k P_{n-k}."""
     _require_constant_free(f, "pow1p")
     alpha = _rational(alpha)
-    return _euler_series(f, _euler(f, lambda n, k: alpha * k - (n - k)))
+    return _euler(f, lambda n, k: alpha * k - (n - k))
 
 
 # -- the named global series ---------------------------------------------------

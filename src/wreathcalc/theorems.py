@@ -23,9 +23,10 @@ from .plethysm import (_mod_inverse, average_p1, compose, exp_compose,
                        product_form_inverse, uni_analytic)
 from .posets import (Poset, equivariant_char_poly, fixed_point_mobius,
                      lefschetz_top_trace, order_complex_homology)
-from .series import (GradedSeries, Mono, ONE_MONO, _by_degree, exp_series,
-                     l_series, mod_filter, mono_degree, natural_spec, one,
-                     pow1p_of, t_monomial, uni_const, uni_one, uni_x, zero)
+from .series import (GradedSeries, Mono, ONE_MONO, _by_degree, _rational,
+                     exp_series, l_series, mod_filter, mono_degree,
+                     natural_spec, one, pow1p_of, t_monomial, uni_const,
+                     uni_one, uni_x, zero)
 from .wreath import (WreathType, centralizer_order, enumerate_class_types,
                      type_representative)
 
@@ -374,7 +375,7 @@ def natural_form(theorem: str, G: FiniteGroup, N: int,
     if theorem == "zero_mod_d":
         return uni_one(N) - compose(uni_analytic("pow1p", N, Fraction(1, o)),
                                     uni_analytic("tanh", N))
-    s = Fraction(t_value if t_value is not None else 1)
+    s = _rational(1 if t_value is None else t_value)
     x = uni_x(N)
     sx = x.scale(s)
     if theorem == "whitney_hanlon":

@@ -28,8 +28,8 @@ from wreathcalc.plethysm import (arcsinh_series, compose, plethystic_inverse,
                                  sech_series)
 from wreathcalc.posets import Poset, PosetError, _iter_bits
 from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, const,
-                               exp_series, mod_filter, mono_degree, mono_mul,
-                               one, zero)
+                               exp_series, mod_filter, mono_degree, one,
+                               zero)
 from wreathcalc.wreath import induced_point_perm
 
 
@@ -107,6 +107,18 @@ def bell_number(n):
 def xpow(n):
     """The monomial x^n of a one-variable series, x = p_1 over the trivial group."""
     return (((1, 0), n),) if n else ONE_MONO
+
+
+def mono_mul(a, b):
+    """The product of two monomials as sorted ((i, c), exponent) tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    acc = dict(a)
+    for v, e in b:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
 
 
 def oracle_mul(a, b):

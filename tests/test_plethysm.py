@@ -260,3 +260,14 @@ def test_sech_natural_spec():
         expected = compose(uni_analytic("sech", 6),
                            uni_x(6).scale(Fraction(1, G.order)))
         assert u == expected
+
+
+def test_uni_analytic_pow1p_refuses_exponents_that_are_not_rational():
+    for bad in (0.1, 0.5, "1/2"):
+        with pytest.raises(SeriesError):
+            uni_analytic("pow1p", 2, bad)
+    assert (uni_analytic("pow1p", 2, Fraction(1, 2))
+            == GradedSeries(C1, 2, 1, {((), 0): 1,
+                                       ((((1, 0), 1),), 0): Fraction(1, 2),
+                                       ((((1, 0), 2),), 0): Fraction(-1, 8)}))
+    assert uni_analytic("pow1p", 2, 2) == uni_analytic("pow1p", 2, Fraction(2))

@@ -14,12 +14,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (assert_clean, oracle_compose, oracle_exp,
-                      oracle_invert, oracle_log1p, oracle_mul, oracle_pow1p)
+from conftest import (assert_clean, dihedral_8, oracle_compose, oracle_exp,
+                      oracle_invert, oracle_log1p, oracle_mul, oracle_pow1p,
+                      quaternion_8)
 from wreathcalc.groups import cyclic_group, symmetric_group
-from wreathcalc.plethysm import _mod_inverse, compose, exp_compose
-from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, const,
-                               exp_arg, exp_of, exp_series, l_series,
+from wreathcalc.plethysm import (F_coefficient, _mod_inverse, compose,
+                                 exp_compose, product_form_inverse)
+from wreathcalc.series import (GradedSeries, ONE_MONO, SeriesError, _Codec,
+                               const, exp_arg, exp_of, exp_series, l_series,
                                log1p_of, mod_filter, mono_degree,
                                natural_spec, one, p, pow1p_of)
 
@@ -380,3 +382,155 @@ def test_series_entry_points_refuse_values_that_are_not_rational():
     assert const(C1, 2, 3).terms == {(ONE_MONO, 0): Fraction(3)}
     assert x.scale(Fraction(1, 3)) == const(C1, 2, Fraction(1, 3))
     assert_clean(GradedSeries(C1, 2, 1, {(ONE_MONO, 0): 2}))
+
+
+# -- packed monomials ------------------------------------------------------------
+#
+# Inside the kernel a term (mono, t_num) is one int: the exponent of p_i(c)
+# in bit field (i - 1) C + c of width N.bit_length(), t_num above all fields.
+# A field overflows only if a term above the truncation is packed, so these
+# cases put high exponents and high degrees next to low truncations, fill
+# the widest fields (five classes at N = 8) and the top field (p_N), and
+# make t_num negative.
+
+D8 = dihedral_8()
+Q8 = quaternion_8()
+WIDE = (D8, Q8)
+
+
+def dense_series(G, N, rng, t_den=1, nterms=8, max_t=2):
+    """prime_series terms with single-variable powers up to degree N added."""
+    f = prime_series(G, N, rng, t_den, nterms, constant_free=False)
+    for _ in range(nterms):
+        i = rng.randrange(1, N + 1)
+        v = (i, rng.randrange(G.num_classes))
+        mono = ((v, rng.randrange(1, N // i + 1)),)
+        f = f + GradedSeries(G, N, t_den, {
+            (mono, rng.randrange(-max_t, max_t + 1)):
+                Fraction(rng.randrange(1, 10), rng.choice(PRIMES))})
+    return f
+
+
+def test_codec_round_trips_every_term_up_to_its_degree():
+    rng = random.Random(20261030)
+    for G in GROUPS + WIDE:
+        for N in (0, 1, 3, 8):
+            f = dense_series(G, max(N, 1), rng, 2).truncate(N)
+            if N == 0:
+                f = f + one(G, 0, 2).scale_t(-3, 2)
+            codec = _Codec(G, N)
+            back = codec.fractions(codec.slices(f.terms).values())
+            assert back == f.terms
+            assert all(type(m) is tuple and list(m) == sorted(m)
+                       for m, _t in back)
+
+
+def test_mul_drops_operand_terms_above_the_product_truncation():
+    # trunc 8 x trunc 3: fields are 2 bits wide, p_1^8 would overflow one
+    rng = random.Random(20261031)
+    for G in GROUPS + WIDE:
+        for t_den_a, t_den_b in ((1, 1), (2, 3)):
+            x = p(G, 8, 1, G.identity_class, t_den_a)
+            a = (dense_series(G, 8, rng, t_den_a) + x.power(8)
+                 + x.power(5).scale_t(-1, 2))
+            b = dense_series(G, 3, rng, t_den_b)
+            for got, want in ((a * b, oracle_mul(a, b)),
+                              (b * a, oracle_mul(b, a))):
+                assert_clean(got)
+                assert got.trunc == 3
+                assert got == want
+
+
+def test_compose_with_an_argument_truncated_above_the_result(pairwise):
+    rng = random.Random(20261032)
+    for G in GROUPS + WIDE:
+        for t_den_f, t_den_g in ((1, 1), (2, 3)):
+            # right mode: g over the trivial group, g.trunc 8 > f.trunc 3
+            f = dense_series(G, 3, rng, t_den_f)
+            g = dense_series(C1, 8, rng, t_den_g) + p(C1, 8, 1, 0).power(7)
+            g = g - g.homogeneous_part(0)
+            h = compose(f, g)
+            assert_clean(h)
+            assert h.trunc == 3
+            assert h == pairwise(oracle_compose, f, g)
+            # left mode: f over the trivial group, g over G
+            f = dense_series(C1, 3, rng, t_den_f)
+            g = dense_series(G, 8, rng, t_den_g)
+            g = g - g.homogeneous_part(0)
+            h = compose(f, g)
+            assert_clean(h)
+            assert h == pairwise(oracle_compose, f, g)
+
+
+def test_the_highest_power_and_the_highest_variable_at_n_8(pairwise):
+    N = 8
+    for G in GROUPS + WIDE:
+        for c in range(G.num_classes):
+            x, top = p(G, N, 1, c), p(G, N, N, c)
+            # p_1^N fills its field with N; p_N is the field just below t
+            assert x.power(N).terms == {((((1, c), N),), 0): Fraction(1)}
+            f = x.scale(Fraction(2, 7)) + top.scale_t(-1, 2)
+            for got, want in ((pow1p_of(f, Fraction(-1, 3)),
+                               pairwise(oracle_pow1p, f, Fraction(-1, 3))),
+                              (exp_of(f), pairwise(oracle_exp, f)),
+                              (compose(exp_arg(C1, N), f),
+                               pairwise(oracle_compose, exp_arg(C1, N), f))):
+                assert_clean(got)
+                assert got == want
+            assert (top * x).terms == {}
+            assert (top * one(G, N)).terms == top.terms
+
+
+def test_five_class_groups_at_n_8(pairwise):
+    rng = random.Random(20261033)
+    N = 8
+    for G in WIDE:
+        a, b = dense_series(G, N, rng, 2), dense_series(G, N, rng, 3)
+        got = a * b
+        assert_clean(got)
+        assert got == oracle_mul(a, b)
+        f = a - a.homogeneous_part(0)
+        for got, want in ((exp_of(f), pairwise(oracle_exp, f)),
+                          (log1p_of(f), pairwise(oracle_log1p, f)),
+                          ((one(G, N) + f).invert(),
+                           pairwise(oracle_invert, one(G, N) + f))):
+            assert_clean(got)
+            assert got == want
+        g = dense_series(C1, N, rng, 2, nterms=3)
+        g = g - g.homogeneous_part(0)
+        got = compose(exp_arg(G, N), g)
+        assert_clean(got)
+        assert got == pairwise(oracle_compose, exp_arg(G, N), g)
+
+
+def test_negative_t_exponents(pairwise):
+    rng = random.Random(20261034)
+    for G in GROUPS + WIDE:
+        f = dense_series(G, 6, rng).scale_t(-1, 2)
+        f = f - f.homogeneous_part(0)
+        g = dense_series(G, 5, rng, 3).scale_t(-1, 2)
+        assert any(t < 0 for _m, t in f.terms)
+        h = dense_series(C1, 6, rng, 2).scale_t(-1, 2)
+        h = h - h.homogeneous_part(0)
+        for got, want in ((f * g, oracle_mul(f, g)),
+                          (exp_of(f), pairwise(oracle_exp, f)),
+                          (pow1p_of(f, Fraction(3, 2)),
+                           pairwise(oracle_pow1p, f, Fraction(3, 2))),
+                          (compose(g, h), pairwise(oracle_compose, g, h))):
+            assert_clean(got)
+            assert got == want
+
+
+def test_product_form_inverse_is_the_pairwise_fold_of_its_factors():
+    N = 6
+    for G in (C2, S3):
+        want = one(G, N)
+        for l in range(1, N + 1):
+            for cl in G.classes:
+                expo = F_coefficient(G, l, cl.class_id)
+                if expo:
+                    want = oracle_mul(
+                        want, pow1p_of(p(G, N, l, cl.class_id), expo))
+        got = product_form_inverse(G, N)
+        assert_clean(got)
+        assert got == want

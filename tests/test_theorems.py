@@ -12,8 +12,8 @@ from wreathcalc.dowling import build_family
 from wreathcalc.groups import cyclic_group, group_from_table, symmetric_group
 from wreathcalc.plethysm import (average_p1, compose, exp_compose,
                                  sech_series, tanh_series, uni_analytic)
-from wreathcalc.series import (eq_to_degree, exp_series, l_series,
-                               natural_spec, one, p, zero)
+from wreathcalc.series import (SeriesError, eq_to_degree, exp_series,
+                               l_series, natural_spec, one, p, zero)
 from wreathcalc.theorems import (BudgetError, THEOREM_IDS, UsageError,
                                  bn_dimension, bn_dimension_formula,
                                  brute_force_side, char_poly_product_formula,
@@ -326,6 +326,16 @@ def test_natural_form_availability():
     assert natural_form("one_mod_d", C2, 4, 3) is None
     assert natural_form("fibre_corollary", C2, 4) is None
     assert natural_form("stanley", C1, 5) == uni_analytic("log1p", 5)
+
+
+def test_natural_form_refuses_a_t_value_that_is_not_rational():
+    for bad in (0.1, 0.5, "2"):
+        with pytest.raises(SeriesError):
+            natural_form("whitney_hanlon", C2, 3, t_value=bad)
+    assert (natural_form("whitney_hanlon", C2, 3, t_value=2)
+            == natural_form("whitney_hanlon", C2, 3, t_value=Fraction(2)))
+    assert (natural_form("whitney_hanlon", C2, 3)
+            == natural_form("whitney_hanlon", C2, 3, t_value=1))
 
 
 def test_one_variable_series_live_over_the_trivial_group():
