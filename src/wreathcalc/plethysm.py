@@ -30,8 +30,8 @@ from math import factorial, lcm
 from .groups import FiniteGroup, class_power, cyclic_group
 from .series import (
     GradedSeries, Mono, SeriesError, UniSeries, _Codec, _by_degree,
-    _mul_by_degree, _product, _rational, exp_arg, exp_of, exp_series,
-    mod_filter, mono_degree, p, pow1p_of, zero,
+    _mul_by_degree, _product, _rational, _sum_of_products, exp_arg, exp_of,
+    exp_series, mod_filter, moebius_mu, mono_degree, p, pow1p_of, zero,
 )
 
 
@@ -44,9 +44,9 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     the images of the current sequence's prefixes, so monomials sharing a
     prefix share its product, and the stack never holds more than N + 1
     images.  Images and prefix products are the series kernel's packed
-    integer slices.  Coefficients and t-shifts are applied while adding each
-    image into one dict of integer numerators over a running lcm of the
-    denominators; a Fraction is built once per result term.
+    integer slices, and each output degree is one kernel sum of
+    coefficient x image x t-shift over the monomials of f; a Fraction is
+    built once per result term.
     """
     left_mode = f.group.order == 1
     right_mode = g.group.order == 1
@@ -83,8 +83,7 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     images: dict[tuple[int, int], dict[int, tuple]] = {}
     stack = [{0: (1, {0: 1})}]   # stack[j]: image of word[:j]
     prev: tuple = ()
-    common = 1
-    acc: dict[int, int] = {}   # numerators over common, by packed key
+    products: dict[int, list] = {}   # by output degree
     for word, t_shift, coeff in words:
         j = 0
         while j < len(prev) and j < len(word) and prev[j] == word[j]:
@@ -96,19 +95,11 @@ def compose(f: GradedSeries, g: GradedSeries) -> GradedSeries:
                 img = images[v] = image(*v)
             stack.append(_mul_by_degree(stack[-1], img, N))
         prev = word
-        for den, part in stack[-1].values():
-            den *= coeff.denominator
-            if common % den:
-                grow = lcm(common, den) // common
-                for k in acc:
-                    acc[k] *= grow
-                common *= grow
-            scale = coeff.numerator * (common // den)
-            for k, c in part.items():
-                k += t_shift
-                acc[k] = acc.get(k, 0) + scale * c
-    return GradedSeries._trusted(out_group, N, t_den,
-                                 codec.fractions([(common, acc)]))
+        shift = (1, {t_shift: 1})
+        for deg, part in stack[-1].items():
+            products.setdefault(deg, []).append((coeff, part, shift))
+    return GradedSeries._trusted(out_group, N, t_den, codec.fractions(
+        _sum_of_products(prods) for prods in products.values()))
 
 
 def exp_compose(G: FiniteGroup, N: int, g: GradedSeries) -> GradedSeries:
@@ -156,15 +147,11 @@ uni_reversion = plethystic_inverse
 
 def average_p1(G: FiniteGroup, N: int) -> GradedSeries:
     """sum over classes of (|c|/|G|) p_1(c): the degree-1 part of exp_series."""
-    acc = zero(G, N)
-    for cl in G.classes:
-        acc = acc.add(p(G, N, 1, cl.class_id).scale(Fraction(cl.size, G.order)))
-    return acc
+    return exp_arg(G, N).homogeneous_part(1)
 
 
 def F_coefficient(G: FiniteGroup, l: int, class_id: int) -> Fraction:
     """The exponent F(l, c) = -(1/(|G| l)) sum over d | l of mu(d) #{g : g^d in c}."""
-    from .series import moebius_mu
     if l < 1:
         raise ValueError("l must be >= 1")
     if not (0 <= class_id < G.num_classes):

@@ -13,15 +13,16 @@ empty term dict; no zero coefficients are ever stored; no stored monomial
 exceeds degree N.  All coefficients are exact Fractions -- there is no
 floating point anywhere in this package.  The public constructor enforces
 these invariants and refuses values that are not rational; the ring
-operations build term dicts that already satisfy them and wrap them with
-GradedSeries._trusted, which does not check again.
+operations, the t maps and mod_filter build term dicts that already satisfy
+them and wrap them with GradedSeries._trusted, which does not check again.
 
 Every product runs through one kernel on integer slices: the terms of one
 degree as integer numerators over one common denominator, each term's
 monomial and t exponent packed into one int, so the product of two terms
-is one integer add.  The packing is internal to each call; Fractions and
-Mono tuples are built only at the GradedSeries boundary, once per output
-term, and a chain of products crosses it once, at the end.
+is one integer add.  mul, power, the exp/log/pow/invert recurrences and
+plethysm.compose all sum through it.  The packing is internal to each call;
+Fractions and Mono tuples are built only at the GradedSeries boundary, once
+per output term, and a chain of products crosses it once, at the end.
 
 Operations never extend the truncation degree: combining two series
 truncates to the smaller N, and t denominators are refined to the lcm.
@@ -60,6 +61,11 @@ def mono_degree(mono: Mono) -> int:
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a is b or a.table == b.table
+
+
+def _nonzero_den(den: int) -> None:
+    if den == 0:
+        raise SeriesError("a denominator or modulus must be nonzero")
 
 
 def _rational(q) -> Fraction:
@@ -251,6 +257,7 @@ class GradedSeries:
 
     def coefficient(self, mono: Mono, t_num: int = 0, t_den: int = 1) -> Fraction:
         """Coefficient of mono * t^(t_num/t_den); exact, defaults to the t-free part."""
+        _nonzero_den(t_den)
         if self.t_den % t_den == 0:
             return self.terms.get((mono, t_num * (self.t_den // t_den)), Fraction(0))
         # query denominator finer than storage: representable only if it reduces
@@ -275,6 +282,8 @@ class GradedSeries:
         """Re-express with a finer t denominator (must be a multiple of the current one)."""
         if t_den == self.t_den:
             return self
+        if t_den < 1:
+            raise SeriesError("t denominator must be >= 1")
         if t_den % self.t_den != 0:
             raise SeriesError("cannot coarsen t denominator %d to %d" % (self.t_den, t_den))
         f = t_den // self.t_den
@@ -328,14 +337,7 @@ class GradedSeries:
     def power(self, k: int) -> "GradedSeries":
         if k < 0:
             raise SeriesError("negative power; use invert() first")
-        acc = one(self.group, self.trunc, self.t_den)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc.mul(base)
-            base = base.mul(base) if k > 1 else base
-            k >>= 1
-        return acc
+        return _product(self.group, self.trunc, self.t_den, [self] * k)
 
     def invert(self) -> "GradedSeries":
         """Multiplicative inverse; needs the whole degree-0 part to be one nonzero scalar."""
@@ -351,23 +353,24 @@ class GradedSeries:
 
     def attach_t(self, num: int, den: int = 1) -> "GradedSeries":
         """Right-compose with t^(num/den) * p_1: each degree-n term gains t^(n*num/den)."""
+        _nonzero_den(den)
         t_den = lcm(self.t_den, den)
         f_self = t_den // self.t_den
         f_new = t_den // den
-        out: dict[tuple[Mono, int], Fraction] = {}
-        for (m, t), c in self.terms.items():
-            k = (m, t * f_self + mono_degree(m) * num * f_new)
-            out[k] = out.get(k, Fraction(0)) + c
-        return GradedSeries(self.group, self.trunc, t_den, out)
+        return GradedSeries._trusted(
+            self.group, self.trunc, t_den,
+            {(m, t * f_self + mono_degree(m) * num * f_new): c
+             for (m, t), c in self.terms.items()})
 
     def scale_t(self, num: int, den: int = 1) -> "GradedSeries":
         """Multiply the whole series by the monomial t^(num/den)."""
+        _nonzero_den(den)
         t_den = lcm(self.t_den, den)
         f_self = t_den // self.t_den
         f_new = t_den // den
-        return GradedSeries(self.group, self.trunc, t_den,
-                            {(m, t * f_self + num * f_new): c
-                             for (m, t), c in self.terms.items()})
+        return GradedSeries._trusted(self.group, self.trunc, t_den,
+                                     {(m, t * f_self + num * f_new): c
+                                      for (m, t), c in self.terms.items()})
 
     def substitute_t(self, s) -> "GradedSeries":
         """Set t^(1/t_den) to the rational s, collapsing t into the coefficients."""
@@ -575,8 +578,10 @@ def mod_filter(f: GradedSeries, residue: int, d: int, mode: str = "equal") -> Gr
         pred = lambda n: n >= residue
     else:
         raise SeriesError("unknown mod_filter mode %r" % mode)
+    if mode != "at-least":
+        _nonzero_den(d)
     keep = {k: c for k, c in f.terms.items() if pred(mono_degree(k[0]))}
-    return GradedSeries(f.group, f.trunc, f.t_den, keep)
+    return GradedSeries._trusted(f.group, f.trunc, f.t_den, keep)
 
 
 # -- one-variable series --------------------------------------------------------

@@ -23,10 +23,10 @@ from .plethysm import (_mod_inverse, average_p1, compose, exp_compose,
                        product_form_inverse, uni_analytic)
 from .posets import (Poset, equivariant_char_poly, fixed_point_mobius,
                      lefschetz_top_trace, order_complex_homology)
-from .series import (GradedSeries, Mono, ONE_MONO, _by_degree, _rational,
-                     exp_series, l_series, mod_filter, mono_degree,
-                     natural_spec, one, pow1p_of, t_monomial, uni_const,
-                     uni_one, uni_x, zero)
+from .series import (GradedSeries, Mono, ONE_MONO, SeriesError, _TRIVIAL,
+                     _by_degree, _rational, exp_series, l_series, mod_filter,
+                     natural_spec, one, pow1p_of, series_terms, t_monomial,
+                     uni_const, uni_one, uni_x, zero)
 from .wreath import (WreathType, centralizer_order, enumerate_class_types,
                      type_representative)
 
@@ -131,10 +131,6 @@ class BudgetError(RuntimeError):
         self.estimate = estimate
 
 
-def _trivial() -> FiniteGroup:
-    return cyclic_group(1)
-
-
 def _statement(theorem: str, G: FiniteGroup,
                d: Optional[int]) -> tuple[_Statement, Optional[int]]:
     """The theorem's record, checked against G, and its resolved d."""
@@ -162,12 +158,11 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
                 d: Optional[int] = None) -> GradedSeries:
     """The closed series side of the named identity, truncated at degree N."""
     _spec, d = _statement(theorem, G, d)
-    triv = _trivial()
     if theorem == "stanley":
         return l_series(G, N)
     if theorem == "product_form_F":
         return product_form_inverse(G, N)
-    L = l_series(triv, N)
+    L = l_series(_TRIVIAL, N)
     if theorem == "hanlon":
         return exp_compose(G, N, L.neg())
     if theorem == "second":
@@ -180,7 +175,8 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
         return (one(G, N) - X + x_zero) * x_zero.invert()
     if theorem in ("zero_mod_d", "whitney_0modd"):
         E = exp_series(G, N)
-        M = compose(L, mod_filter(exp_series(triv, N), 0, d) - one(triv, N))
+        M = compose(L, mod_filter(exp_series(_TRIVIAL, N), 0, d)
+                    - one(_TRIVIAL, N))
         if theorem == "zero_mod_d":
             return one(G, N) - E * exp_compose(G, N, M.neg())
         M = M.attach_t(1, d)
@@ -215,7 +211,7 @@ def closed_form(theorem: str, G: FiniteGroup, N: int,
 
 
 def _whitney_q_closed(G: FiniteGroup, N: int) -> GradedSeries:
-    Lt = l_series(_trivial(), N).attach_t(1)
+    Lt = l_series(_TRIVIAL, N).attach_t(1)
     return exp_compose(G, N, Lt.scale_t(-1) - Lt)
 
 
@@ -297,7 +293,7 @@ def _brute_force_series(theorem: str, G: FiniteGroup, n_max: int,
     """The statement's brute-force side through degree n_max, and the last
     degree it models; theorem, G and d are already checked."""
     if theorem == "product_form_F":
-        return exp_compose(G, n_max, l_series(_trivial(), n_max).neg()), n_max
+        return exp_compose(G, n_max, l_series(_TRIVIAL, n_max).neg()), n_max
     if theorem == "dn_series":
         return (one(G, n_max) + average_p1(G, n_max)
                 + exp_series(G, n_max).homogeneous_part(2)), 2
@@ -376,6 +372,8 @@ def natural_form(theorem: str, G: FiniteGroup, N: int,
         return uni_one(N) - compose(uni_analytic("pow1p", N, Fraction(1, o)),
                                     uni_analytic("tanh", N))
     s = _rational(1 if t_value is None else t_value)
+    if s == 0:
+        raise SeriesError("t_value must be nonzero: %s divides by it" % theorem)
     x = uni_x(N)
     sx = x.scale(s)
     if theorem == "whitney_hanlon":
@@ -467,26 +465,15 @@ class VerificationReport:
 
 
 def _first_difference(a: GradedSeries, b: GradedSeries) -> dict:
-    den = a.t_den
-    bb = b
-    if a.t_den != b.t_den:
-        from math import lcm
-        den = lcm(a.t_den, b.t_den)
-        a = a.with_t_den(den)
-        bb = b.with_t_den(den)
-    keys = sorted(set(a.terms) | set(bb.terms),
-                  key=lambda k: (mono_degree(k[0]), k[0], k[1]))
-    for mono, t_num in keys:
-        ca = a.terms.get((mono, t_num), Fraction(0))
-        cb = bb.terms.get((mono, t_num), Fraction(0))
-        if ca != cb:
-            return {
-                "monomial": [[i, c, e] for (i, c), e in mono],
-                "t": "%d/%d" % (t_num, den),
-                "closed": str(ca),
-                "brute": str(cb),
-            }
-    raise AssertionError("series differ but no differing coefficient found")
+    """The first term, in canonical order, where two unequal series differ."""
+    row = series_terms(a - b)[0]
+    mono = tuple(((i, c), e) for i, c, e in row["vars"])
+    return {
+        "monomial": row["vars"],
+        "t": "%d/%d" % (row["t_num"], row["t_den"]),
+        "closed": str(a.coefficient(mono, row["t_num"], row["t_den"])),
+        "brute": str(b.coefficient(mono, row["t_num"], row["t_den"])),
+    }
 
 
 def verify(theorem: str, G: FiniteGroup, n_max: int,
@@ -547,8 +534,7 @@ def verify(theorem: str, G: FiniteGroup, n_max: int,
     else:
         shadow = natural_spec(closed)
         bad = next((s for s, form in zip(samples, forms)
-                    if shadow.substitute_t(s).truncate(N)
-                    != form.substitute_t(1).truncate(N)), None)
+                    if shadow.substitute_t(s) != form), None)
         if bad is None:
             report.natural_status = "ok"
             if spec.graded:

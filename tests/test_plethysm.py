@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_compose
+from conftest import assert_clean, dihedral_8, oracle_compose, quaternion_8
 from wreathcalc.groups import cyclic_group, symmetric_group
 from wreathcalc.plethysm import (
     F_coefficient, arcsinh_series, average_p1, compose, plethystic_inverse,
@@ -152,6 +152,17 @@ def test_natural_spec_commutes_with_compose():
 
 
 # -- classic identities ----------------------------------------------------------
+
+
+def test_average_p1_is_the_class_sum():
+    for G in (C1, C2, S3, dihedral_8(), quaternion_8()):
+        for N in (0, 1, 4):
+            want = GradedSeries(G, N, 1, {
+                ((((1, cl.class_id), 1),), 0): Fraction(cl.size, G.order)
+                for cl in G.classes})
+            got = average_p1(G, N)
+            assert_clean(got)
+            assert got == want
 
 
 def test_exp_series_factors_through_average_p1():

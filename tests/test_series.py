@@ -99,6 +99,16 @@ def test_power_matches_repeated_mul():
     f = one(C2, 4) + p(C2, 4, 1, 0) + p(C2, 4, 1, 1).scale(Fraction(1, 2))
     assert f.power(3) == f * f * f
     assert f.power(0) == one(C2, 4)
+    # t denominator 2, a negative t exponent and mixed coefficient denominators
+    g = GradedSeries(C2, 6, 2, {((), 0): Fraction(2), ((), 1): Fraction(7, 3),
+                                ((((1, 0), 1),), -1): Fraction(3, 4),
+                                ((((1, 1), 1),), 3): Fraction(-5, 6),
+                                ((((2, 0), 1),), 0): Fraction(1, 9)})
+    acc = one(C2, 6, 2)
+    for k in range(7):
+        assert g.power(k) == acc
+        assert g.power(k).t_den == 2
+        acc = acc * g
 
 
 # -- exp / log / pow -----------------------------------------------------------

@@ -10,6 +10,7 @@ the term-dict invariants that GradedSeries._trusted takes on trust.
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,6 +354,32 @@ def test_a_product_that_cancels_a_whole_degree():
             assert got == one(G, N) - oracle_mul(f, f)
 
 
+def test_every_kernel_sum_is_in_lowest_terms(monkeypatch):
+    # the gcd pass keeps the numerators that feed the next product small;
+    # Fractions at the boundary would hide its absence
+    from wreathcalc import plethysm, series
+    real, seen = series._sum_of_products, []
+
+    def checked(products):
+        den, part = real(products)
+        seen.append(den)
+        assert den > 0 and gcd(den, *part.values()) == 1, (den, part)
+        return den, part
+
+    monkeypatch.setattr(series, "_sum_of_products", checked)
+    monkeypatch.setattr(plethysm, "_sum_of_products", checked)
+    rng = random.Random(20261041)
+    for G in GROUPS:
+        f = prime_series(G, 5, rng, 2)
+        g = prime_series(C1, 5, rng, 3)
+        compose(f + one(G, 5), g)
+        compose(prime_series(C1, 5, rng, 1, constant_free=False),
+                prime_series(G, 5, rng, 2))
+        exp_of(f)
+        (one(G, 5) + f) * (one(G, 5) - f)
+    assert any(den > 1 for den in seen)
+
+
 def test_pow1p_where_the_recurrence_weights_vanish():
     # alpha = 1 zeroes the weights at k = n / 2, alpha = 0 those at k = n
     rng = random.Random(20261025)
@@ -382,6 +409,70 @@ def test_series_entry_points_refuse_values_that_are_not_rational():
     assert const(C1, 2, 3).terms == {(ONE_MONO, 0): Fraction(3)}
     assert x.scale(Fraction(1, 3)) == const(C1, 2, Fraction(1, 3))
     assert_clean(GradedSeries(C1, 2, 1, {(ONE_MONO, 0): 2}))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda f: f.with_t_den(0),
+    lambda f: f.with_t_den(-2),
+    lambda f: f.attach_t(1, 0),
+    lambda f: f.scale_t(1, 0),
+    lambda f: f.coefficient(ONE_MONO, 1, 0),
+    lambda f: mod_filter(f, 1, 0),
+    lambda f: mod_filter(f, 1, 0, "not-equal"),
+], ids=["with_t_den_0", "with_t_den_negative", "attach_t", "scale_t",
+        "coefficient", "mod_filter", "mod_filter_not_equal"])
+def test_series_entry_points_refuse_bad_denominators(entry):
+    f = one(C2, 3) + p(C2, 3, 1, 1)
+    with pytest.raises(SeriesError):
+        entry(f)
+
+
+def test_a_negative_t_denominator_keeps_the_exponent_value():
+    f = one(C2, 3, 2) + p(C2, 3, 1, 1).scale_t(-1, 2)
+    assert f.attach_t(1, -2) == f.attach_t(-1, 2)
+    assert f.scale_t(3, -2) == f.scale_t(-3, 2)
+    assert f.coefficient((((1, 1), 1),), 1, -2) == 1
+    # "at-least" ignores d
+    assert mod_filter(f, 1, 0, "at-least") == f - one(C2, 3)
+
+
+def t_map_oracle(f, t_den, shift):
+    """The checking constructor applied to (m, t) -> (m, t' ) with t' in units
+    of 1/t_den: t' = t_den * (t / f.t_den + shift(degree of m))."""
+    out = {}
+    for (m, t), c in f.terms.items():
+        q = (Fraction(t, f.t_den) + shift(mono_degree(m))) * t_den
+        assert q.denominator == 1
+        k = (m, int(q))
+        out[k] = out.get(k, 0) + c
+    return GradedSeries(f.group, f.trunc, t_den, out)
+
+
+def test_t_maps_and_mod_filter_build_clean_series():
+    rng = random.Random(20261040)
+    for G in GROUPS:
+        for t_den in (1, 2, 3):
+            f = prime_series(G, 5, rng, t_den, constant_free=False)
+            for num, den in ((-3, 2), (-1, 1), (1, 2), (2, 3), (1, -2)):
+                t_out = lcm(t_den, den)
+                for got, want in (
+                        (f.attach_t(num, den),
+                         t_map_oracle(f, t_out, lambda n: Fraction(n * num, den))),
+                        (f.scale_t(num, den),
+                         t_map_oracle(f, t_out, lambda n: Fraction(num, den)))):
+                    assert_clean(got)
+                    assert got.t_den == t_out
+                    assert got.terms == want.terms
+            for residue, d, mode in ((1, 2, "equal"), (0, 3, "not-equal"),
+                                     (2, 0, "at-least"), (-1, 2, "equal")):
+                got = mod_filter(f, residue, d, mode)
+                keep = ((lambda n: n >= residue) if mode == "at-least" else
+                        (lambda n: (n - residue) % d == 0) if mode == "equal"
+                        else (lambda n: (n - residue) % d != 0))
+                assert_clean(got)
+                assert got == GradedSeries(G, 5, t_den, {
+                    k: c for k, c in f.terms.items()
+                    if keep(mono_degree(k[0]))})
 
 
 # -- packed monomials ------------------------------------------------------------

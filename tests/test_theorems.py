@@ -13,7 +13,7 @@ from wreathcalc.groups import cyclic_group, group_from_table, symmetric_group
 from wreathcalc.plethysm import (average_p1, compose, exp_compose,
                                  sech_series, tanh_series, uni_analytic)
 from wreathcalc.series import (SeriesError, eq_to_degree, exp_series,
-                               l_series, natural_spec, one, p, zero)
+                               l_series, natural_spec, one, p, uni_x, zero)
 from wreathcalc.theorems import (BudgetError, THEOREM_IDS, UsageError,
                                  bn_dimension, bn_dimension_formula,
                                  brute_force_side, char_poly_product_formula,
@@ -298,6 +298,45 @@ def test_verify_mismatch_is_reported_with_coefficients():
     diff = _first_difference(a, b)
     assert diff["closed"] == "1" and diff["brute"] == "1/2"
     assert diff["monomial"] == [[1, 0, 1]]
+    # t denominators 1 and 2: the first difference is read in units of 1/2
+    half = one(C2, 2, 2) + p(C2, 2, 1, 0, 2).scale_t(1, 2)
+    assert _first_difference(a, half) == {
+        "monomial": [[1, 0, 1]], "t": "0/2", "closed": "1", "brute": "0"}
+    assert _first_difference(half, a) == {
+        "monomial": [[1, 0, 1]], "t": "0/2", "closed": "0", "brute": "1"}
+
+
+def test_verify_reports_a_damaged_closed_side_at_t_den_two(monkeypatch):
+    real = theorems.closed_form
+
+    def damaged(theorem, G, N, d=None):
+        # p_2(0) t^(2/2) goes from -1/4 to 1/4
+        return real(theorem, G, N, d) + p(G, N, 2, 0).scale(
+            Fraction(1, 2)).scale_t(1)
+
+    monkeypatch.setattr(theorems, "closed_form", damaged)
+    rep = verify("whitney_1modd", C2, 2, d=2)
+    assert [r.status for r in rep.degrees] == ["ok", "ok", "mismatch"]
+    assert rep.degrees[2].mismatch == {
+        "monomial": [[2, 0, 1]], "t": "2/2", "closed": "1/4",
+        "brute": "-1/4"}
+    assert rep.ok is False
+
+
+def test_verify_reports_a_natural_form_that_differs_at_one_t_value(
+        monkeypatch):
+    real = theorems.natural_form
+
+    def damaged(theorem, G, N, d=None, t_value=None):
+        form = real(theorem, G, N, d, t_value)
+        return form + uni_x(N) if t_value == 2 else form
+
+    monkeypatch.setattr(theorems, "natural_form", damaged)
+    rep = verify("whitney_hanlon", C2, 2)
+    assert all(r.status == "ok" for r in rep.degrees)
+    assert rep.natural_status == "mismatch"
+    assert rep.natural_note == "differs at t-value 2"
+    assert rep.ok is False
 
 
 def test_verify_rejects_bad_arguments():
@@ -336,6 +375,16 @@ def test_natural_form_refuses_a_t_value_that_is_not_rational():
             == natural_form("whitney_hanlon", C2, 3, t_value=Fraction(2)))
     assert (natural_form("whitney_hanlon", C2, 3)
             == natural_form("whitney_hanlon", C2, 3, t_value=1))
+
+
+def test_natural_form_refuses_t_value_zero_where_it_divides_by_it():
+    for th, G, d in theorem_cases(C2):
+        if theorems._STATEMENTS[th].graded and d != 3:
+            with pytest.raises(SeriesError):
+                natural_form(th, G, 3, d, t_value=0)
+        else:   # ungraded ids, and d = 3, ignore t_value
+            assert (natural_form(th, G, 3, d, t_value=0)
+                    == natural_form(th, G, 3, d))
 
 
 def test_one_variable_series_live_over_the_trivial_group():
