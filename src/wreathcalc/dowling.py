@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .groups import FiniteGroup
 from .posets import Poset, _iter_bits, _mask_of
@@ -97,29 +97,48 @@ def _orbit_parts(G: FiniteGroup, block: tuple[int, ...],
 
 
 def _free_partitions(G: FiniteGroup, positions: tuple[int, ...],
-                     size_ok: Callable[[int], bool]) -> Iterator[list[int]]:
-    """All free partitions of G x positions with allowed block sizes, as part lists."""
+                     size_ok: Callable[[int], bool],
+                     memo: dict) -> list[tuple[int, ...]]:
+    """All free partitions of G x positions with allowed block sizes, as
+    sorted part tuples.
+
+    The first position's block is chosen, then the rest is partitioned
+    recursively; memo maps each position tuple already partitioned to its
+    part tuples, so that every remaining set is enumerated once per memo.
+    """
     if not positions:
-        yield []
-        return
+        return [()]
+    done = memo.get(positions)
+    if done is not None:
+        return done
     first, rest = positions[0], positions[1:]
+    out: list[tuple[int, ...]] = []
     for k in range(len(rest) + 1):
         if not size_ok(k + 1):
             continue
         for others in itertools.combinations(rest, k):
+            tails = _free_partitions(
+                G, tuple(p for p in rest if p not in others), size_ok, memo)
+            if not tails:
+                continue
             block = (first,) + others
-            remaining = tuple(p for p in rest if p not in others)
             for section in itertools.product(range(G.order), repeat=k):
-                orbit = _orbit_parts(G, block, (G.identity,) + section)
-                for tail in _free_partitions(G, remaining, size_ok):
-                    yield orbit + tail
+                orbit = tuple(_orbit_parts(G, block, (G.identity,) + section))
+                out.extend([tuple(sorted(orbit + tail)) for tail in tails])
+    memo[positions] = out
+    return out
 
 
 def enumerate_family(family: str, G: FiniteGroup, n: int,
                      d: Optional[int] = None) -> list[Payload]:
-    """All family elements, sorted canonically."""
+    """All family elements, sorted canonically.
+
+    The free partitions of each set of remaining positions are enumerated
+    once per call and shared by every I that leaves that set.
+    """
     d = _check_args(family, G, n, d) or d
     size_ok = _size_predicate(family, d)
+    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     out: list[Payload] = []
     if family == "q0modd":
         bottom = (0, tuple(sorted(
@@ -134,8 +153,8 @@ def enumerate_family(family: str, G: FiniteGroup, n: int,
             for m in I:
                 i_mask |= 1 << m
             rest = tuple(m for m in range(n) if m not in I)
-            for parts in _free_partitions(G, rest, size_ok):
-                out.append((i_mask, tuple(sorted(parts))))
+            for parts in _free_partitions(G, rest, size_ok, memo):
+                out.append((i_mask, parts))
     return sorted(set(out))
 
 
@@ -209,13 +228,14 @@ class FamilyPoset:
     poset: Poset
     # part_masks[K]: the elements that have K as a part
     part_masks: dict = field(default_factory=dict)
-    # (K, part_masks[K]) for one part K per G-orbit: the one whose lowest
-    # point carries the identity label
+    # (K, part_masks[K], the points of K) for one part K per G-orbit: the
+    # one whose lowest point carries the identity label
     _orbit_reps: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         o, e = self.G.order, self.G.identity
-        self._orbit_reps = [(K, having) for K, having in self.part_masks.items()
+        self._orbit_reps = [(K, having, tuple(_iter_bits(K)))
+                            for K, having in self.part_masks.items()
                             if ((K & -K).bit_length() - 1) % o == e]
 
     def fixed_mask(self, w: WreathElement) -> int:
@@ -225,43 +245,29 @@ class FamilyPoset:
         bijection that maps a finite set of parts into itself permutes it,
         and then it also maps G x I, the points outside the parts, onto
         itself.  So x is fixed iff H[K] holding x implies H[wK] holding x
-        for every part K that w moves.
+        for every part K.  w permutes the parts, so along each cycle of
+        parts that implication holds all the way round exactly when
+        H[K] and H[wK] agree on x: x is fixed iff it is in no H[K] ^ H[wK].
 
         One part per G-orbit suffices.  G acts on points by left
         translation and w by right multiplication of labels, so the two
         commute: w(gK) = g(wK).  Every element is G-stable, so H[gK] = H[K]
         and H[g(wK)] = H[wK], and the condition at gK is the condition at K.
+        The parts of one orbit share one H mask, so a part that w maps into
+        its own orbit, or fixes, is skipped by an identity test.
         """
         if len(w.perm) != self.n:
             raise FamilyError("element acts on %d positions, poset has %d"
                               % (len(w.perm), self.n))
         H = self.part_masks
-        fixed = (1 << self.poset.n) - 1
-        point_perm = induced_point_perm(self.G, w)
-        moved = _mask_of([p for p, q in enumerate(point_perm) if p != q],
-                         len(point_perm))
-        tables = _byte_tables(point_perm)
-        for K, having in self._orbit_reps:
-            if K & moved:
-                image, rest = 0, K
-                for table in tables:
-                    image |= table[rest & 255]
-                    rest >>= 8
-                fixed &= ~having | H.get(image, 0)
-        return fixed
-
-
-def _byte_tables(perm) -> list[list[int]]:
-    """Images under perm of the bytes of a mask: the image of a mask is the
-    OR of tables[c][(mask >> 8c) & 255] over its bytes c."""
-    tables = []
-    for base in range(0, len(perm), 8):
-        table = [0] * (1 << min(8, len(perm) - base))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | 1 << perm[base + low.bit_length() - 1]
-        tables.append(table)
-    return tables
+        image_of = [1 << q for q in induced_point_perm(self.G, w)]
+        bad = 0
+        for K, having, points in self._orbit_reps:
+            moved_to = H.get(sum(map(image_of.__getitem__, points)), 0)
+            if moved_to is not having:
+                bad |= having ^ moved_to
+        full = (1 << self.poset.n) - 1
+        return full & ~bad
 
 
 def _element_masks(payloads: list[Payload], G: FiniteGroup,

@@ -351,6 +351,7 @@ def natural_form(theorem: str, G: FiniteGroup, N: int,
     """
     spec, d = _statement(theorem, G, d)
     o = G.order
+    s = _rational(1 if t_value is None else t_value)
     if theorem in ("fibre_corollary", "qsim_corollary"):
         return None
     if spec.needs_d and d != 2:
@@ -371,7 +372,6 @@ def natural_form(theorem: str, G: FiniteGroup, N: int,
     if theorem == "zero_mod_d":
         return uni_one(N) - compose(uni_analytic("pow1p", N, Fraction(1, o)),
                                     uni_analytic("tanh", N))
-    s = _rational(1 if t_value is None else t_value)
     if s == 0:
         raise SeriesError("t_value must be nonzero: %s divides by it" % theorem)
     x = uni_x(N)

@@ -12,6 +12,9 @@ worked on masks: relation masks by a pairwise test of payloads level by
 level, the poset permutation of a wreath element by transforming payloads
 (action_of), fixed elements read off that permutation, and fixed-point
 traces and characteristic polynomials on the materialized fixed subposet.
+The free partitions of the remaining positions are enumerated by plain
+recursion, as before they were memoized, and the set bits of a mask are
+read one position at a time.
 The closed-form oracles are the mod-d closed sides as written before they
 applied the group exponential E = exp_series(G) only through exp_compose:
 generic plethysm of mod_filter(E, j, d) / mod_filter(E, 0, d), of
@@ -22,7 +25,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from wreathcalc.dowling import FamilyError
+from wreathcalc.dowling import FamilyError, _orbit_parts
 from wreathcalc.groups import class_power, cyclic_group, group_from_table
 from wreathcalc.plethysm import (arcsinh_series, compose, plethystic_inverse,
                                  sech_series)
@@ -307,6 +310,17 @@ def oracle_chain_counts(P, within=None):
     return counts
 
 
+def oracle_bits(mask):
+    """The set bits of a mask, increasing, testing one position at a time."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def oracle_below_lists(P):
+    """For each j, the indices i < j, by testing every pair of indices."""
+    return [[i for i in range(P.n) if i != j and P.up[i] >> j & 1]
+            for j in range(P.n)]
+
+
 def oracle_sparse_rank(rows):
     """Rank of a sparse matrix by elimination over Fraction, smallest rows first."""
     live = [{c: Fraction(v) for c, v in r.items()} for r in rows if r]
@@ -429,6 +443,26 @@ def transform_payload(payload, perm, point_perm):
     i_mask, parts = payload
     return (mask_image(i_mask, perm),
             tuple(sorted(mask_image(K, point_perm) for K in parts)))
+
+
+def oracle_free_partitions(G, positions, size_ok):
+    """All free partitions of G x positions with allowed block sizes, as
+    part lists, by plain recursion on the block of the first position:
+    every remaining position set is enumerated again wherever it recurs."""
+    if not positions:
+        yield []
+        return
+    first, rest = positions[0], positions[1:]
+    for k in range(len(rest) + 1):
+        if not size_ok(k + 1):
+            continue
+        for others in itertools.combinations(rest, k):
+            block = (first,) + others
+            remaining = tuple(p for p in rest if p not in others)
+            for section in itertools.product(range(G.order), repeat=k):
+                orbit = _orbit_parts(G, block, (G.identity,) + section)
+                for tail in oracle_free_partitions(G, remaining, size_ok):
+                    yield orbit + tail
 
 
 def oracle_up_masks(payloads, G, n):

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from conftest import (action_of, bell_number, partition_lattice, relabeled,
-                      transform_payload)
+from conftest import (action_of, bell_number, oracle_free_partitions,
+                      partition_lattice, relabeled, transform_payload)
+from wreathcalc import dowling
 
 from wreathcalc.dowling import (
     FamilyError, build_family, count_family, dowling_leq_factory,
@@ -61,6 +62,28 @@ def test_count_recursion_matches_enumeration():
     for family, G, n, d in cases:
         assert len(enumerate_family(family, G, n, d)) == \
             count_family(family, G, n, d)
+
+
+def test_enumeration_matches_the_recursive_oracle(monkeypatch):
+    families = (("q", None), ("r", None), ("qsim", None), ("q1modd", 2),
+                ("q0modd", 2), ("q1modd", 3), ("q0modd", 3), ("pi", None))
+    cases = [(family, G, n, d)
+             for G, n_max in ((C1, 5), (C2, 4),
+                              (relabeled(C3, [2, 0, 1]), 3),
+                              (relabeled(S3, [3, 5, 0, 1, 4, 2]), 3))
+             for n in range(1, n_max + 1)
+             for family, d in families
+             if family != "pi" or G.order == 1]
+    got = [enumerate_family(*case) for case in cases]
+
+    def unmemoized(G, positions, size_ok, memo):
+        return [tuple(sorted(parts))
+                for parts in oracle_free_partitions(G, positions, size_ok)]
+
+    with monkeypatch.context() as m:
+        m.setattr(dowling, "_free_partitions", unmemoized)
+        expected = [enumerate_family(*case) for case in cases]
+    assert got == expected
 
 
 def test_qsim_count_degree_two():

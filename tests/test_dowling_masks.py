@@ -1,22 +1,25 @@
-"""Dowling posets on masks: relation masks by intersection, fixed-element
-masks without the permutation, and fixed-point Moebius values and
-characteristic polynomials on the ambient masks, each against the pairwise,
-action_of and materialized-subposet oracles in conftest."""
+"""Dowling posets on masks: relation masks by intersection and their
+transpose, fixed-element masks without the permutation, and fixed-point
+Moebius values and characteristic polynomials on the ambient masks, each
+against the pairwise, action_of and materialized-subposet oracles in
+conftest."""
 
+import itertools
 import random
 
 import pytest
 
-from conftest import (action_of, dihedral_8, down_masks, oracle_char_poly,
-                      oracle_fixed_mask, oracle_subposet, oracle_top_trace,
-                      oracle_up_masks, quaternion_8, random_poset, relabeled)
+from conftest import (action_of, dihedral_8, down_masks, oracle_below_lists,
+                      oracle_char_poly, oracle_fixed_mask, oracle_subposet,
+                      oracle_top_trace, oracle_up_masks, quaternion_8,
+                      random_poset, relabeled)
 from wreathcalc.dowling import _build_up_masks, build_family
 from wreathcalc.groups import cyclic_group, symmetric_group
 from wreathcalc.posets import (PosetError, _iter_bits, equivariant_char_poly,
                                fixed_mask, lefschetz_top_trace)
 from wreathcalc.theorems import _acted_poset, lefschetz_two_routes
-from wreathcalc.wreath import (all_wreath_elements, enumerate_class_types,
-                               type_representative)
+from wreathcalc.wreath import (WreathElement, all_wreath_elements,
+                               enumerate_class_types, type_representative)
 
 C1, C2, C3, S3 = (cyclic_group(1), cyclic_group(2), cyclic_group(3),
                   symmetric_group(3))
@@ -49,6 +52,16 @@ def test_up_masks_match_pairwise_oracle():
         assert _build_up_masks(P.payloads, fp.G, fp.n) == P.up
         assert P.up == oracle_up_masks(P.payloads, fp.G, fp.n)
         assert (P.up, down_masks(P)) == oracle_subposet(P, range(P.n))
+
+
+def test_below_lists_match_the_oracles_on_multi_word_posets():
+    for family, G, n in (("q", C2, 5), ("q", C3, 4), ("r", S3_RELABELED, 3),
+                         ("q", S3_RELABELED, 3)):
+        P = build_family(family, G, n).poset
+        assert P.below_lists() == oracle_below_lists(P)
+        assert (P.up, down_masks(P)) == oracle_subposet(P, range(P.n))
+        # r over S3 at n = 3 has 56 elements, so its masks take one word
+        assert (P.n > 64) == (family == "q")
 
 
 def test_fixed_mask_matches_action_of_on_class_representatives():
@@ -98,6 +111,29 @@ def test_orbit_fixed_masks_on_every_element_over_non_abelian_groups(
         fp = build_family(family, G, 2, d)
         for w in all_wreath_elements(G, 2):
             assert fp.fixed_mask(w) == oracle_fixed_mask(action_of(fp, w))
+
+
+def test_fixed_mask_skips_parts_kept_in_their_orbit():
+    # every label the same non-identity g: a central g moves each part
+    # within its own G-orbit, a non-central one moves some out of it
+    seen = set()
+    for G, n_max in ((C3_RELABELED, 3), (S3_RELABELED, 2), (dihedral_8(), 2),
+                     (quaternion_8(), 2)):
+        for g in range(G.order):
+            if g == G.identity:
+                continue
+            central = all(G.mul(g, x) == G.mul(x, g) for x in range(G.order))
+            seen.add(central)
+            for n in range(1, n_max + 1):
+                for family, d in FAMILIES:
+                    fp = build_family(family, G, n, d)
+                    for perm in itertools.permutations(range(n)):
+                        w = WreathElement(perm, (g,) * n)
+                        mask = fp.fixed_mask(w)
+                        assert mask == oracle_fixed_mask(action_of(fp, w))
+                        if central and perm == tuple(range(n)):
+                            assert mask == (1 << fp.poset.n) - 1
+    assert seen == {True, False}
 
 
 def test_part_masks_are_constant_on_group_orbits():

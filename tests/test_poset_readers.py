@@ -1,13 +1,15 @@
 """The order queries a Poset answers from its up masks alone -- top and
 bottom of a within mask, covers, strict_down and _validate -- against the
 transpose that oracle_subposet in conftest computes, on seeded random
-posets and on every family poset over C2 up to n = 4."""
+posets and on every family poset over C2 up to n = 4; and the bit decoder
+they all read masks through, against a per-position test."""
 
 import random
 
 import pytest
 
-from conftest import bounded, down_masks, oracle_subposet, random_poset
+from conftest import (bounded, down_masks, oracle_bits, oracle_subposet,
+                      random_poset)
 from wreathcalc.dowling import FAMILIES, build_family
 from wreathcalc.groups import cyclic_group
 from wreathcalc.posets import Poset, PosetError, _iter_bits
@@ -15,6 +17,24 @@ from wreathcalc.theorems import _acted_poset
 from wreathcalc.wreath import enumerate_class_types, type_representative
 
 C2 = cyclic_group(2)
+
+
+def test_iter_bits_matches_the_per_bit_oracle():
+    masks = [0, 1, 1 << 63, 1 << 64, 1 << 127, 1 << 128,
+             (1 << 63) | (1 << 64), (1 << 127) | (1 << 128),
+             (1 << 64) - 1, (1 << 65) - 1, (1 << 129) - 1,
+             (1 << 63) | (1 << 64) | (1 << 127) | (1 << 128)]
+    # widths that are not a multiple of 64, with a zero word in between
+    masks += [((1 << width) - 1) ^ (((1 << 64) - 1) << 64)
+              for width in (130, 191, 200, 257)]
+    rng = random.Random(21)
+    for _ in range(300):
+        width = rng.randint(1, 5000)
+        density = rng.choice((0.001, 0.01, 0.1, 0.5, 0.9))
+        masks.append(sum(1 << i for i in range(width)
+                         if rng.random() < density))
+    for mask in masks:
+        assert list(_iter_bits(mask)) == oracle_bits(mask), hex(mask)
 
 
 def two_maximal_masks(P, down, limit=6):

@@ -377,6 +377,15 @@ def test_natural_form_refuses_a_t_value_that_is_not_rational():
             == natural_form("whitney_hanlon", C2, 3, t_value=1))
 
 
+def test_natural_form_checks_t_value_before_an_early_return():
+    # an ungraded id and a modular id at d = 3 never read t_value
+    with pytest.raises(SeriesError):
+        natural_form("hanlon", C2, 3, t_value=0.5)
+    with pytest.raises(SeriesError):
+        natural_form("whitney_1modd", C2, 3, 3, t_value=0.5)
+    assert natural_form("whitney_1modd", C2, 3, 3, t_value=2) is None
+
+
 def test_natural_form_refuses_t_value_zero_where_it_divides_by_it():
     for th, G, d in theorem_cases(C2):
         if theorems._STATEMENTS[th].graded and d != 3:
