@@ -228,13 +228,13 @@ class FamilyPoset:
     poset: Poset
     # part_masks[K]: the elements that have K as a part
     part_masks: dict = field(default_factory=dict)
-    # (K, part_masks[K], the points of K) for one part K per G-orbit: the
-    # one whose lowest point carries the identity label
+    # (part_masks[K], the points of K) for one part K per G-orbit: the one
+    # whose lowest point carries the identity label
     _orbit_reps: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         o, e = self.G.order, self.G.identity
-        self._orbit_reps = [(K, having, tuple(_iter_bits(K)))
+        self._orbit_reps = [(having, tuple(_iter_bits(K)))
                             for K, having in self.part_masks.items()
                             if ((K & -K).bit_length() - 1) % o == e]
 
@@ -253,8 +253,6 @@ class FamilyPoset:
         translation and w by right multiplication of labels, so the two
         commute: w(gK) = g(wK).  Every element is G-stable, so H[gK] = H[K]
         and H[g(wK)] = H[wK], and the condition at gK is the condition at K.
-        The parts of one orbit share one H mask, so a part that w maps into
-        its own orbit, or fixes, is skipped by an identity test.
         """
         if len(w.perm) != self.n:
             raise FamilyError("element acts on %d positions, poset has %d"
@@ -262,10 +260,8 @@ class FamilyPoset:
         H = self.part_masks
         image_of = [1 << q for q in induced_point_perm(self.G, w)]
         bad = 0
-        for K, having, points in self._orbit_reps:
-            moved_to = H.get(sum(map(image_of.__getitem__, points)), 0)
-            if moved_to is not having:
-                bad |= having ^ moved_to
+        for having, points in self._orbit_reps:
+            bad |= having ^ H.get(sum(map(image_of.__getitem__, points)), 0)
         full = (1 << self.poset.n) - 1
         return full & ~bad
 

@@ -22,8 +22,6 @@ element, in fields wide enough that none carries into the next.
 
 from __future__ import annotations
 
-import sys
-from itertools import compress, count
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -33,29 +31,10 @@ class PosetError(ValueError):
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of a nonnegative mask, increasing.
-
-    Clearing the lowest bit of an m-bit int costs O(m), so a wide mask is
-    first cut into 64-bit words: zero words are skipped, and the bits are
-    cleared inside each word.  The walk is then linear in the mask's width
-    plus its number of bits.  Masks of one word are walked directly.
-    """
-    if mask < 1 << 64:
-        while mask:
-            b = mask & -mask
-            yield b.bit_length() - 1
-            mask ^= b
-        return
-    size = (mask.bit_length() + 63) >> 6 << 3
-    words = memoryview(mask.to_bytes(size, sys.byteorder)).cast("Q")
-    if sys.byteorder == "big":
-        words = words[::-1]   # the low word first, as on little-endian
-    # base is one less than the index of the word's lowest bit
-    for base, word in compress(zip(count(-1, 64), words), words):
-        while word:
-            b = word & -word
-            yield base + b.bit_length()
-            word ^= b
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
 def _mask_of(indices: Iterable[int], size: int) -> int:

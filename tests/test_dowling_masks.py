@@ -113,7 +113,7 @@ def test_orbit_fixed_masks_on_every_element_over_non_abelian_groups(
             assert fp.fixed_mask(w) == oracle_fixed_mask(action_of(fp, w))
 
 
-def test_fixed_mask_skips_parts_kept_in_their_orbit():
+def test_fixed_mask_when_labels_keep_parts_in_their_orbit():
     # every label the same non-identity g: a central g moves each part
     # within its own G-orbit, a non-central one moves some out of it
     seen = set()
