@@ -228,40 +228,68 @@ class FamilyPoset:
     poset: Poset
     # part_masks[K]: the elements that have K as a part
     part_masks: dict = field(default_factory=dict)
-    # (part_masks[K], the points of K) for one part K per G-orbit: the one
-    # whose lowest point carries the identity label
-    _orbit_reps: list = field(init=False, repr=False, compare=False)
+    # _zone[m]: the elements with m in I.  _pairs[1 << p | 1 << q]: the
+    # elements with p and q in one part, for every pair some part holds.
+    # _pair_reps: (that mask, p, q) for one pair per G-orbit, the one whose
+    # first point p carries the identity label
+    _zone: list = field(init=False, repr=False, compare=False)
+    _pairs: dict = field(init=False, repr=False, compare=False)
+    _pair_reps: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        o, e = self.G.order, self.G.identity
-        self._orbit_reps = [(having, tuple(_iter_bits(K)))
-                            for K, having in self.part_masks.items()
-                            if ((K & -K).bit_length() - 1) % o == e]
+        # m is in I iff no part touches m.  Read one part K per G-orbit, the
+        # one whose lowest point has the identity label: a pair in K lies,
+        # translated, in every translate of K, so its mask is gathered under
+        # the translate whose first point has the identity label
+        G, o, e = self.G, self.G.order, self.G.identity
+        touching = [0] * self.n
+        gathered: dict[tuple[int, int], int] = {}
+        for K, having in self.part_masks.items():
+            if ((K & -K).bit_length() - 1) % o != e:
+                continue
+            points = tuple(_iter_bits(K))
+            for i, p in enumerate(points):
+                touching[p // o] |= having
+                back = G.table[G.inverse[p % o]]
+                for q in points[i + 1:]:
+                    key = (p - p % o + e, q - q % o + back[q % o])
+                    gathered[key] = gathered.get(key, 0) | having
+        full = (1 << self.poset.n) - 1
+        self._zone = [full & ~mask for mask in touching]
+        self._pairs = {1 << (p - e + g) | 1 << (q - q % o + G.mul(g, q % o)):
+                       having
+                       for (p, q), having in gathered.items()
+                       for g in range(o)}
+        self._pair_reps = [(having, p, q)
+                           for (p, q), having in gathered.items()]
 
     def fixed_mask(self, w: WreathElement) -> int:
         """The bitmask of the elements w fixes, without the permutation.
 
-        w fixes (I, pi) iff it maps every part of pi onto a part of pi: a
-        bijection that maps a finite set of parts into itself permutes it,
-        and then it also maps G x I, the points outside the parts, onto
-        itself.  So x is fixed iff H[K] holding x implies H[wK] holding x
-        for every part K.  w permutes the parts, so along each cycle of
-        parts that implication holds all the way round exactly when
-        H[K] and H[wK] agree on x: x is fixed iff it is in no H[K] ^ H[wK].
+        w fixes x = (I, pi) iff it maps I onto I and keeps which pairs of
+        points share a part: then w and its inverse keep the same pairs, so
+        every part goes onto a part.  Points at one position never share a
+        free part.  So x is fixed iff it is in no Z[m] ^ Z[sigma(m)] and no
+        C[P] ^ C[wP], over the positions m and the pairs P at two positions.
+        A pair no part holds needs no term: an x in some but not all C[P]
+        along a cycle of pairs under w is caught where C[P] holds it.
 
-        One part per G-orbit suffices.  G acts on points by left
+        One pair per G-orbit suffices.  G acts on points by left
         translation and w by right multiplication of labels, so the two
-        commute: w(gK) = g(wK).  Every element is G-stable, so H[gK] = H[K]
-        and H[g(wK)] = H[wK], and the condition at gK is the condition at K.
+        commute: w(gP) = g(wP).  Every element is G-stable, so C[gP] = C[P]
+        and C[g(wP)] = C[wP], and the condition at gP is the condition at
+        P.  That is at most n + C(n, 2) |G| mask operations per call.
         """
         if len(w.perm) != self.n:
             raise FamilyError("element acts on %d positions, poset has %d"
                               % (len(w.perm), self.n))
-        H = self.part_masks
+        zone, pairs = self._zone, self._pairs
         image_of = [1 << q for q in induced_point_perm(self.G, w)]
         bad = 0
-        for having, points in self._orbit_reps:
-            bad |= having ^ H.get(sum(map(image_of.__getitem__, points)), 0)
+        for m, image in enumerate(w.perm):
+            bad |= zone[m] ^ zone[image]
+        for having, p, q in self._pair_reps:
+            bad |= having ^ pairs.get(image_of[p] | image_of[q], 0)
         full = (1 << self.poset.n) - 1
         return full & ~bad
 

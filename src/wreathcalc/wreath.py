@@ -125,12 +125,13 @@ def enumerate_class_types(G: FiniteGroup, n: int) -> list[WreathType]:
 
 def centralizer_order(G: FiniteGroup, tau: WreathType) -> int:
     """z_tau = product over (i, c) of ((|G|/|c|) i)^a * a!."""
-    z = Fraction(1)
+    z = 1
     for (i, c), a in tau:
-        z *= Fraction(G.order * i, G.classes[c].size) ** a * factorial(a)
-    if z.denominator != 1:
-        raise ValueError("centralizer order came out non-integral")
-    return int(z)
+        centralizer, rest = divmod(G.order, G.classes[c].size)
+        if rest:
+            raise ValueError("centralizer order came out non-integral")
+        z *= (centralizer * i) ** a * factorial(a)
+    return z
 
 
 def type_representative(G: FiniteGroup, tau: WreathType) -> WreathElement:

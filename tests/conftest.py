@@ -7,7 +7,9 @@ plethysm term by term through the public ring operations, and exp, log,
 powers and inverses by repeated full products.  The poset oracles are the
 ones the poset layer used before it stopped listing chains: Hall's sum over
 the listed chains, chain counts one size at a time, and rank by elimination
-over Fraction entries.  The Dowling oracles are the ones it used before it
+over Fraction entries.  The centralizer order z_tau is the product of
+Fraction factors it was computed as before it stayed in integers.  The
+Dowling oracles are the ones it used before it
 worked on masks: relation masks by a pairwise test of payloads level by
 level, the poset permutation of a wreath element by transforming payloads
 (action_of), fixed elements read off that permutation, and fixed-point
@@ -23,7 +25,7 @@ sech_series and of the dense E itself.
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from wreathcalc.dowling import FamilyError, _orbit_parts
 from wreathcalc.groups import class_power, cyclic_group, group_from_table
@@ -347,6 +349,19 @@ def oracle_sparse_rank(rows):
                 nxt.append(r)
         live = nxt
     return rank
+
+
+# -- wreath oracles --------------------------------------------------------------
+
+
+def oracle_centralizer_order(G, tau):
+    """z_tau as a product of Fraction factors ((|G|/|c|) i)^a * a!."""
+    z = Fraction(1)
+    for (i, c), a in tau:
+        z *= Fraction(G.order * i, G.classes[c].size) ** a * factorial(a)
+    if z.denominator != 1:
+        raise ValueError("centralizer order came out non-integral")
+    return int(z)
 
 
 # -- Dowling oracles -------------------------------------------------------------

@@ -13,7 +13,7 @@ from conftest import (action_of, dihedral_8, down_masks, oracle_below_lists,
                       oracle_char_poly, oracle_fixed_mask, oracle_subposet,
                       oracle_top_trace, oracle_up_masks, quaternion_8,
                       random_poset, relabeled)
-from wreathcalc.dowling import _build_up_masks, build_family
+from wreathcalc.dowling import _build_up_masks, _element_masks, build_family
 from wreathcalc.groups import cyclic_group, symmetric_group
 from wreathcalc.posets import (PosetError, _iter_bits, equivariant_char_poly,
                                fixed_mask, lefschetz_top_trace)
@@ -25,6 +25,7 @@ C1, C2, C3, S3 = (cyclic_group(1), cyclic_group(2), cyclic_group(3),
                   symmetric_group(3))
 S3_RELABELED = relabeled(S3, [3, 5, 0, 1, 4, 2])
 C3_RELABELED = relabeled(C3, [2, 0, 1])
+C4_RELABELED = relabeled(cyclic_group(4), [2, 0, 3, 1])
 
 # (group, largest n) per group, kept small for the quadratic oracles
 GROUP_SIZES = ((C1, 5), (C2, 4), (C3, 3), (S3, 2), (S3_RELABELED, 2),
@@ -105,12 +106,53 @@ def test_every_wreath_element():
 def test_orbit_fixed_masks_on_every_element_over_non_abelian_groups(
         make_group):
     # left translation and right multiplication of labels differ here, so
-    # imaging one part per orbit of the wrong action would show
+    # imaging one pair per orbit of the wrong action would show
     G = make_group()
     for family, d in FAMILIES:
         fp = build_family(family, G, 2, d)
         for w in all_wreath_elements(G, 2):
             assert fp.fixed_mask(w) == oracle_fixed_mask(action_of(fp, w))
+
+
+def test_fixed_masks_where_pairs_and_parts_differ():
+    # from n = 3 on a part can hold more than two points, so a pair mask is
+    # a union of part masks; identity labels other than 0 and non-abelian
+    # groups would show a wrong translate of a pair
+    rng = random.Random(24)
+    for G, n in ((S3_RELABELED, 3), (dihedral_8(), 3), (quaternion_8(), 3),
+                 (C4_RELABELED, 4)):
+        sample = [WreathElement(tuple(rng.sample(range(n), n)),
+                                tuple(rng.randrange(G.order)
+                                      for _ in range(n)))
+                  for _ in range(4)]
+        for family, d in FAMILIES:
+            fp = build_family(family, G, n, d)
+            for w in class_representatives(G, n) + sample:
+                assert fp.fixed_mask(w) == oracle_fixed_mask(action_of(fp, w))
+
+
+@pytest.mark.parametrize("G", [C2, C3_RELABELED])
+def test_pair_and_zone_masks_match_a_scan_of_the_payloads(G):
+    # the pair masks are gathered under a translate of each pair; a pair
+    # that a part holds only through a translate must still get its mask
+    o, n = G.order, 3
+    fp = build_family("q", G, n)
+    payloads = fp.poset.payloads
+    Z, _H = _element_masks(payloads, G, n)
+    assert fp._zone == Z
+    pairs = [1 << p | 1 << q for p, q in itertools.combinations(range(n * o), 2)
+             if p // o != q // o]
+    assert len(pairs) == 3 * o * o
+    for pair in pairs:
+        holding = 0
+        for y, (_i_mask, parts) in enumerate(payloads):
+            if any(pair & K == pair for K in parts):
+                holding |= 1 << y
+        assert holding and fp._pairs[pair] == holding
+    assert sorted(fp._pairs) == sorted(pairs)
+    assert len(fp._pair_reps) == 3 * o
+    for having, p, q in fp._pair_reps:
+        assert p % o == G.identity and fp._pairs[1 << p | 1 << q] == having
 
 
 def test_fixed_mask_when_labels_keep_parts_in_their_orbit():

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
+from conftest import dihedral_8, oracle_centralizer_order, quaternion_8
 from wreathcalc.groups import cyclic_group, symmetric_group
 from wreathcalc.series import exp_series
 from wreathcalc.wreath import (
@@ -163,6 +165,23 @@ def test_centralizer_oracle_values():
     assert centralizer_order(C1, fixed) == factorial(4)
     # C2, single 1-cycle labeled by the sign class: |G|/|c| * 1 = 2
     assert centralizer_order(C2, (((1, 1), 1),)) == 2
+
+
+def test_centralizer_order_matches_the_fraction_product():
+    for G in (C1, C2, C3, cyclic_group(4), S3, dihedral_8(), quaternion_8()):
+        for n in range(1, 5):
+            for tau in enumerate_class_types(G, n):
+                z = centralizer_order(G, tau)
+                assert type(z) is int
+                assert z == oracle_centralizer_order(G, tau)
+
+
+def test_centralizer_order_rejects_a_class_size_not_dividing_the_order():
+    # no group has a class of 4 elements among 6; the size is made up
+    fake = SimpleNamespace(order=6, classes=[SimpleNamespace(size=4)])
+    for z_of in (centralizer_order, oracle_centralizer_order):
+        with pytest.raises(ValueError, match="non-integral"):
+            z_of(fake, (((1, 0), 1),))
 
 
 # -- Frobenius characteristic --------------------------------------------------------
