@@ -15,7 +15,7 @@ is a position block plus a section, and its G-orbit has exactly |G| parts.
 The order: (I, pi) <= (I', pi') iff I is contained in I' and every part of pi
 either sits inside G x I' or inside a single part of pi'.  The relation and
 the fixed points of a wreath element are computed as bitmasks over element
-indices, by intersecting a few per-position and per-part masks.
+indices, by intersecting a few per-position and per-pair masks.
 
 Families select which elements are kept:
 
@@ -226,42 +226,13 @@ class FamilyPoset:
     n: int
     d: Optional[int]
     poset: Poset
-    # part_masks[K]: the elements that have K as a part
-    part_masks: dict = field(default_factory=dict)
-    # _zone[m]: the elements with m in I.  _pairs[1 << p | 1 << q]: the
+    # zone[m]: the elements with m in I.  pairs[1 << p | 1 << q]: the
     # elements with p and q in one part, for every pair some part holds.
-    # _pair_reps: (that mask, p, q) for one pair per G-orbit, the one whose
+    # pair_reps: (that mask, p, q) for one pair per G-orbit, the one whose
     # first point p carries the identity label
-    _zone: list = field(init=False, repr=False, compare=False)
-    _pairs: dict = field(init=False, repr=False, compare=False)
-    _pair_reps: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # m is in I iff no part touches m.  Read one part K per G-orbit, the
-        # one whose lowest point has the identity label: a pair in K lies,
-        # translated, in every translate of K, so its mask is gathered under
-        # the translate whose first point has the identity label
-        G, o, e = self.G, self.G.order, self.G.identity
-        touching = [0] * self.n
-        gathered: dict[tuple[int, int], int] = {}
-        for K, having in self.part_masks.items():
-            if ((K & -K).bit_length() - 1) % o != e:
-                continue
-            points = tuple(_iter_bits(K))
-            for i, p in enumerate(points):
-                touching[p // o] |= having
-                back = G.table[G.inverse[p % o]]
-                for q in points[i + 1:]:
-                    key = (p - p % o + e, q - q % o + back[q % o])
-                    gathered[key] = gathered.get(key, 0) | having
-        full = (1 << self.poset.n) - 1
-        self._zone = [full & ~mask for mask in touching]
-        self._pairs = {1 << (p - e + g) | 1 << (q - q % o + G.mul(g, q % o)):
-                       having
-                       for (p, q), having in gathered.items()
-                       for g in range(o)}
-        self._pair_reps = [(having, p, q)
-                           for (p, q), having in gathered.items()]
+    zone: list = field(repr=False)
+    pairs: dict = field(repr=False)
+    pair_reps: list = field(repr=False)
 
     def fixed_mask(self, w: WreathElement) -> int:
         """The bitmask of the elements w fixes, without the permutation.
@@ -283,61 +254,68 @@ class FamilyPoset:
         if len(w.perm) != self.n:
             raise FamilyError("element acts on %d positions, poset has %d"
                               % (len(w.perm), self.n))
-        zone, pairs = self._zone, self._pairs
+        zone, pairs = self.zone, self.pairs
         image_of = [1 << q for q in induced_point_perm(self.G, w)]
         bad = 0
         for m, image in enumerate(w.perm):
             bad |= zone[m] ^ zone[image]
-        for having, p, q in self._pair_reps:
+        for having, p, q in self.pair_reps:
             bad |= having ^ pairs.get(image_of[p] | image_of[q], 0)
         full = (1 << self.poset.n) - 1
         return full & ~bad
 
 
-def _element_masks(payloads: list[Payload], G: FiniteGroup,
-                   n: int) -> tuple[list[int], dict[int, int]]:
-    """Per-position masks Z[m] of the elements with m in I, and per-part
-    masks H[K] of the elements that have K as a part.
+def _element_masks(payloads: list[Payload], G: FiniteGroup, n: int
+                   ) -> tuple[list[int], dict[int, int], list[tuple]]:
+    """Per-position masks Z[m] of the elements with m in I, per-pair masks
+    C[{p, q}] of the elements with p and q in one part, and the pair
+    representatives, as FamilyPoset stores them.
 
-    Every element is G-stable, so the parts of one G-orbit have the same
-    mask: it is built once, for the part whose lowest point carries the
-    identity label, and shared.  Within an element, the orbit of a part
-    is the set of its parts with the same lowest position.
+    Every element is G-stable, so the parts of one G-orbit are held by the
+    same elements, and so are the pairs of one G-orbit.  Only the part
+    whose lowest point carries the identity label is read per orbit; a
+    pair in it is gathered under its translate whose first point carries
+    the identity label, and the mask is then copied to every translate.
     """
     o, e = G.order, G.identity
     count = len(payloads)
     z_idx: list[list[int]] = [[] for _ in range(n)]
-    h_idx: dict[int, list[int]] = {}
-    rep_of: dict[int, int] = {}
+    h_idx: dict[int, list[int]] = {}   # representative part of 2+ points
     for y, (i_mask, parts) in enumerate(payloads):
         for m in _iter_bits(i_mask):
             z_idx[m].append(y)
         for K in parts:
-            R = rep_of.get(K)
-            if R is None:
-                low = (K & -K).bit_length() - 1
-                point = 1 << (low - low % o + e)
-                R = rep_of[K] = next(part for part in parts if part & point)
-            if R == K:
+            if K & (K - 1) and ((K & -K).bit_length() - 1) % o == e:
                 h_idx.setdefault(K, []).append(y)
-    rep_masks = {K: _mask_of(ix, count) for K, ix in h_idx.items()}
-    return ([_mask_of(ix, count) for ix in z_idx],
-            {K: rep_masks[R] for K, R in rep_of.items()})
+    gathered: dict[tuple[int, int], int] = {}
+    for K, ix in h_idx.items():
+        having = _mask_of(ix, count)
+        points = tuple(_iter_bits(K))
+        for i, p in enumerate(points):
+            back = G.table[G.inverse[p % o]]
+            for q in points[i + 1:]:
+                key = (p - p % o + e, q - q % o + back[q % o])
+                gathered[key] = gathered.get(key, 0) | having
+    pairs = {1 << (p - e + g) | 1 << (q - q % o + G.mul(g, q % o)): having
+             for (p, q), having in gathered.items() for g in range(o)}
+    reps = [(having, p, q) for (p, q), having in gathered.items()]
+    return [_mask_of(ix, count) for ix in z_idx], pairs, reps
 
 
 def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int,
-                    element_masks=None) -> list[int]:
+                    element_masks: tuple) -> list[int]:
     """Relation masks by intersection: y is above x iff I_y holds I_x and
     every part K of x lies in G x I_y or inside one part of y, so
 
         up[x] = AND_{m in I_x} Z[m] & AND_{K in x} (Z(pos K) | P[K])
 
-    where Z(S) is the intersection of Z[m] over m in S and P[K] the union
-    of H[K'] over the parts K' containing K.  Every nonempty subset of a
-    free part is a free part, so P is filled from the subsets of each part.
+    where Z(S) is the intersection of Z[m] over m in S.  K lies in one part
+    of y iff each of its points shares a part of y with its lowest point
+    p0, so P[K] is the intersection of C[{p0, q}] over the other points q
+    of K, and every element when K is a single point.
     """
     o = G.order
-    Z, H = element_masks or _element_masks(payloads, G, n)
+    Z, C, _reps = element_masks
     full = (1 << len(payloads)) - 1
     covering = {0: full}   # position mask S -> Z(S)
 
@@ -348,24 +326,21 @@ def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int,
             mask = covering[S] = over(S ^ low) & Z[low.bit_length() - 1]
         return mask
 
-    containing: dict[int, int] = {}   # K -> P[K]
-    for big, having in H.items():
-        K = big
-        while K:
-            if K in H:
-                containing[K] = containing.get(K, 0) | having
-            K = (K - 1) & big
-    part_up = {}
-    for K, mask in containing.items():
-        positions = 0
-        for pnt in _iter_bits(K):
-            positions |= 1 << (pnt // o)
-        part_up[K] = over(positions) | mask
+    part_up: dict[int, int] = {}
     up = []
     for i_mask, parts in payloads:
         mask = over(i_mask)
         for K in parts:
-            mask &= part_up[K]
+            above = part_up.get(K)
+            if above is None:
+                p0 = K & -K
+                positions = 1 << ((p0.bit_length() - 1) // o)
+                within = full
+                for pnt in _iter_bits(K ^ p0):
+                    positions |= 1 << (pnt // o)
+                    within &= C[p0 | 1 << pnt]
+                above = part_up[K] = over(positions) | within
+            mask &= above
         up.append(mask)
     return up
 
@@ -378,14 +353,14 @@ def build_family(family: str, G: FiniteGroup, n: int, d: Optional[int] = None,
     payloads = enumerate_family(family, G, n, d)
     if len(payloads) != count_family(family, G, n, d):
         raise FamilyError("enumeration disagrees with the counting recursion")
-    Z, H = _element_masks(payloads, G, n)
-    poset = Poset.from_masks(payloads, _build_up_masks(payloads, G, n, (Z, H)))
+    masks = _element_masks(payloads, G, n)
+    poset = Poset.from_masks(payloads, _build_up_masks(payloads, G, n, masks))
     if validate:
         pairwise = Poset(payloads, dowling_leq_factory(G, n), validate=True)
         if pairwise.up != poset.up:
             raise FamilyError("relation masks disagree with the pairwise "
                               "order")
-    return FamilyPoset(family, G, n, d, poset, H)
+    return FamilyPoset(family, G, n, d, poset, *masks)
 
 
 def family_rank_formula(fp: FamilyPoset, payload: Payload) -> int:

@@ -305,7 +305,7 @@ def test_leq_factory_basic_relations():
 def test_pruned_masks_match_naive_relation():
     # the mask builder, which intersects per-position and per-part masks,
     # must agree with the direct double loop
-    from wreathcalc.dowling import _build_up_masks
+    from wreathcalc.dowling import _build_up_masks, _element_masks
 
     cases = [
         ("q", C2, 3, None),
@@ -331,4 +331,5 @@ def test_pruned_masks_match_naive_relation():
                 if leq(a, b):
                     mask |= 1 << j
             naive.append(mask)
-        assert _build_up_masks(payloads, G, n) == naive
+        masks = _element_masks(payloads, G, n)
+        assert _build_up_masks(payloads, G, n, masks) == naive

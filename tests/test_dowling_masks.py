@@ -50,9 +50,18 @@ def class_representatives(G, n):
 def test_up_masks_match_pairwise_oracle():
     for fp in family_posets():
         P = fp.poset
-        assert _build_up_masks(P.payloads, fp.G, fp.n) == P.up
+        masks = _element_masks(P.payloads, fp.G, fp.n)
+        assert _build_up_masks(P.payloads, fp.G, fp.n, masks) == P.up
         assert P.up == oracle_up_masks(P.payloads, fp.G, fp.n)
         assert (P.up, down_masks(P)) == oracle_subposet(P, range(P.n))
+    # parts of three or more points, where a part lies in one part of y
+    # only through the pairs at its lowest point, over non-abelian groups
+    # and identity labels other than 0
+    for G, n in ((S3_RELABELED, 3), (dihedral_8(), 3), (quaternion_8(), 3),
+                 (C4_RELABELED, 4)):
+        for family, d in FAMILIES:
+            P = build_family(family, G, n, d).poset
+            assert P.up == oracle_up_masks(P.payloads, G, n)
 
 
 def test_below_lists_match_the_oracles_on_multi_word_posets():
@@ -131,28 +140,37 @@ def test_fixed_masks_where_pairs_and_parts_differ():
                 assert fp.fixed_mask(w) == oracle_fixed_mask(action_of(fp, w))
 
 
-@pytest.mark.parametrize("G", [C2, C3_RELABELED])
-def test_pair_and_zone_masks_match_a_scan_of_the_payloads(G):
+@pytest.mark.parametrize("G", [S3, C3_RELABELED])
+@pytest.mark.parametrize("family, d", FAMILIES)
+def test_pair_and_zone_masks_match_a_scan_of_the_payloads(G, family, d):
     # the pair masks are gathered under a translate of each pair; a pair
-    # that a part holds only through a translate must still get its mask
+    # that a part holds only through a translate must still get its mask.
+    # In q1modd at d = 2 every pair lies in a part of three points, and in
+    # q1modd at d = 3 no part holds a pair
     o, n = G.order, 3
-    fp = build_family("q", G, n)
+    fp = build_family(family, G, n, d)
     payloads = fp.poset.payloads
-    Z, _H = _element_masks(payloads, G, n)
-    assert fp._zone == Z
-    pairs = [1 << p | 1 << q for p, q in itertools.combinations(range(n * o), 2)
-             if p // o != q // o]
-    assert len(pairs) == 3 * o * o
-    for pair in pairs:
-        holding = 0
-        for y, (_i_mask, parts) in enumerate(payloads):
-            if any(pair & K == pair for K in parts):
-                holding |= 1 << y
-        assert holding and fp._pairs[pair] == holding
-    assert sorted(fp._pairs) == sorted(pairs)
-    assert len(fp._pair_reps) == 3 * o
-    for having, p, q in fp._pair_reps:
-        assert p % o == G.identity and fp._pairs[1 << p | 1 << q] == having
+    for m in range(n):
+        assert fp.zone[m] == sum(1 << y for y, (i_mask, _parts)
+                                 in enumerate(payloads) if i_mask >> m & 1)
+    held = {}
+    for p, q in itertools.combinations(range(n * o), 2):
+        if p // o == q // o:
+            continue
+        pair = 1 << p | 1 << q
+        holding = sum(1 << y for y, (_i_mask, parts) in enumerate(payloads)
+                      if any(pair & K == pair for K in parts))
+        if holding:
+            held[pair] = holding
+    assert fp.pairs == held
+    for pair, having in held.items():
+        for g in range(o):
+            gP = sum(1 << (p - p % o + G.mul(g, p % o))
+                     for p in _iter_bits(pair))
+            assert fp.pairs[gP] == having
+    assert len(fp.pair_reps) * o == len(held)
+    for having, p, q in fp.pair_reps:
+        assert p % o == G.identity and fp.pairs[1 << p | 1 << q] == having
 
 
 def test_fixed_mask_when_labels_keep_parts_in_their_orbit():
@@ -176,23 +194,6 @@ def test_fixed_mask_when_labels_keep_parts_in_their_orbit():
                         if central and perm == tuple(range(n)):
                             assert mask == (1 << fp.poset.n) - 1
     assert seen == {True, False}
-
-
-def test_part_masks_are_constant_on_group_orbits():
-    for G in (S3, C3_RELABELED):
-        o = G.order
-        for family, d in FAMILIES:
-            fp = build_family(family, G, 3, d)
-            holding = {}
-            for y, (_i_mask, parts) in enumerate(fp.poset.payloads):
-                for K in parts:
-                    holding[K] = holding.get(K, 0) | 1 << y
-            assert fp.part_masks == holding
-            for K, having in holding.items():
-                for g in range(o):
-                    gK = sum(1 << (p - p % o + G.mul(g, p % o))
-                             for p in _iter_bits(K))
-                    assert holding[gK] == having
 
 
 def test_bn_masks_match_the_permutation_route():
@@ -240,7 +241,7 @@ def test_validate_rejects_a_corrupted_relation_mask(monkeypatch):
     from wreathcalc import dowling
     from wreathcalc.dowling import FamilyError
 
-    def corrupted(payloads, G, n, element_masks=None):
+    def corrupted(payloads, G, n, element_masks):
         up = _build_up_masks(payloads, G, n, element_masks)
         up[1] ^= 1 << 2   # one relation bit flipped
         return up
