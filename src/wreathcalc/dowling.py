@@ -302,8 +302,8 @@ def _element_masks(payloads: list[Payload], G: FiniteGroup, n: int
     return [_mask_of(ix, count) for ix in z_idx], pairs, reps
 
 
-def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int,
-                    element_masks: tuple) -> list[int]:
+def _build_up_masks(payloads: list[Payload], o: int, Z: list[int],
+                    C: dict[int, int]) -> list[int]:
     """Relation masks by intersection: y is above x iff I_y holds I_x and
     every part K of x lies in G x I_y or inside one part of y, so
 
@@ -314,8 +314,6 @@ def _build_up_masks(payloads: list[Payload], G: FiniteGroup, n: int,
     p0, so P[K] is the intersection of C[{p0, q}] over the other points q
     of K, and every element when K is a single point.
     """
-    o = G.order
-    Z, C, _reps = element_masks
     full = (1 << len(payloads)) - 1
     covering = {0: full}   # position mask S -> Z(S)
 
@@ -353,14 +351,14 @@ def build_family(family: str, G: FiniteGroup, n: int, d: Optional[int] = None,
     payloads = enumerate_family(family, G, n, d)
     if len(payloads) != count_family(family, G, n, d):
         raise FamilyError("enumeration disagrees with the counting recursion")
-    masks = _element_masks(payloads, G, n)
-    poset = Poset.from_masks(payloads, _build_up_masks(payloads, G, n, masks))
+    Z, C, reps = _element_masks(payloads, G, n)
+    poset = Poset.from_masks(payloads, _build_up_masks(payloads, G.order, Z, C))
     if validate:
         pairwise = Poset(payloads, dowling_leq_factory(G, n), validate=True)
         if pairwise.up != poset.up:
             raise FamilyError("relation masks disagree with the pairwise "
                               "order")
-    return FamilyPoset(family, G, n, d, poset, *masks)
+    return FamilyPoset(family, G, n, d, poset, Z, C, reps)
 
 
 def family_rank_formula(fp: FamilyPoset, payload: Payload) -> int:

@@ -225,23 +225,10 @@ def _bn_closed(G: FiniteGroup, N: int) -> GradedSeries:
 # brute-force sides
 
 # Posets by (family, Cayley table, n, d), least recently used evicted first.
-# Every value pins its poset (an odd-n bn value also the q1modd one it is
-# cut from), so the cache is bounded; the cap covers the two families times
-# n_max degrees that a corollary check revisits.
+# Every value pins its poset, so the cache is bounded; the cap covers the
+# two families times n_max degrees that a corollary check revisits.
 _POSET_CACHE_SIZE = 16
 _poset_cache: OrderedDict = OrderedDict()
-
-
-def _cached(key: tuple, make: Callable) -> tuple[Poset, Callable]:
-    """The cache entry under key, made and stored on a miss."""
-    hit = _poset_cache.get(key)
-    if hit is None:
-        hit = _poset_cache[key] = make()
-        if len(_poset_cache) > _POSET_CACHE_SIZE:
-            _poset_cache.popitem(last=False)
-    else:
-        _poset_cache.move_to_end(key)
-    return hit
 
 
 def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
@@ -249,11 +236,11 @@ def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
     """Poset for the family plus a map from wreath elements to the bitmasks
     of the elements they fix.
 
-    bn is q1modd at d=2, less its top for odd n: it takes the q1modd entry
-    at even n, and at odd n its own entry, the subposet without the top
-    made once from the q1modd entry.  d is dropped for the families that
-    take none.  Families above POSET_ELEMENT_BUDGET elements are refused,
-    before anything is built, unless forced.
+    bn is q1modd at d=2, less its top for odd n: it takes the q1modd entry,
+    as it is at even n and restricted to the subposet without the top at odd
+    n.  d is dropped for the families that take none.  Families above
+    POSET_ELEMENT_BUDGET elements are refused, before anything is built,
+    unless forced.
     """
     built, d = (("q1modd", 2) if family == "bn" else
                 (family, d if family in ("q1modd", "q0modd") else None))
@@ -264,23 +251,23 @@ def _acted_poset(family: str, G: FiniteGroup, n: int, d: Optional[int],
             % (family, n, size, POSET_ELEMENT_BUDGET, _OVERRIDE),
             estimate=size)
     key = (built, G.table, n, d)
-
-    def build():
+    hit = _poset_cache.get(key)
+    if hit is None:
         fp = build_family(built, G, n, d)
-        return fp.poset, fp.fixed_mask
-
-    def without_top():
+        hit = _poset_cache[key] = (fp.poset, fp.fixed_mask)
+        if len(_poset_cache) > _POSET_CACHE_SIZE:
+            _poset_cache.popitem(last=False)
+    else:
+        _poset_cache.move_to_end(key)
+    if family == "bn" and n % 2 == 1:
         # the canonical sort puts the top, the only element with the full
         # i_mask, last; the fixed elements of the rest are a prefix
-        P, act = _cached(key, build)
+        P, act = hit
         last = P.n - 1
         assert P.top() == last
         rest = (1 << last) - 1
         return P.subposet(range(last)), lambda w: act(w) & rest
-
-    if family == "bn" and n % 2 == 1:
-        return _cached(("bn",) + key[1:], without_top)
-    return _cached(key, build)
+    return hit
 
 
 def brute_force_side(theorem: str, G: FiniteGroup, n: int,

@@ -303,7 +303,7 @@ def test_leq_factory_basic_relations():
         assert leq(x, x)
 
 def test_pruned_masks_match_naive_relation():
-    # the mask builder, which intersects per-position and per-part masks,
+    # the mask builder, which intersects per-position and per-pair masks,
     # must agree with the direct double loop
     from wreathcalc.dowling import _build_up_masks, _element_masks
 
@@ -331,5 +331,5 @@ def test_pruned_masks_match_naive_relation():
                 if leq(a, b):
                     mask |= 1 << j
             naive.append(mask)
-        masks = _element_masks(payloads, G, n)
-        assert _build_up_masks(payloads, G, n, masks) == naive
+        Z, C, _reps = _element_masks(payloads, G, n)
+        assert _build_up_masks(payloads, G.order, Z, C) == naive

@@ -50,8 +50,8 @@ def class_representatives(G, n):
 def test_up_masks_match_pairwise_oracle():
     for fp in family_posets():
         P = fp.poset
-        masks = _element_masks(P.payloads, fp.G, fp.n)
-        assert _build_up_masks(P.payloads, fp.G, fp.n, masks) == P.up
+        Z, C, _reps = _element_masks(P.payloads, fp.G, fp.n)
+        assert _build_up_masks(P.payloads, fp.G.order, Z, C) == P.up
         assert P.up == oracle_up_masks(P.payloads, fp.G, fp.n)
         assert (P.up, down_masks(P)) == oracle_subposet(P, range(P.n))
     # parts of three or more points, where a part lies in one part of y
@@ -241,8 +241,8 @@ def test_validate_rejects_a_corrupted_relation_mask(monkeypatch):
     from wreathcalc import dowling
     from wreathcalc.dowling import FamilyError
 
-    def corrupted(payloads, G, n, element_masks):
-        up = _build_up_masks(payloads, G, n, element_masks)
+    def corrupted(payloads, o, Z, C):
+        up = _build_up_masks(payloads, o, Z, C)
         up[1] ^= 1 << 2   # one relation bit flipped
         return up
 
